@@ -14,6 +14,7 @@ i.e. it becomes playable at the next boundary.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -27,7 +28,6 @@ from . import scheduler as sched
 from . import topology as topo
 from .config import SimConfig, config_hash, flatten_config, build_config
 from .errors import ConfigError
-from .phy import sinr_matrix
 from .video import VideoSession, synth_catalog
 
 SWEEP_PARAMETERS = {
@@ -86,16 +86,7 @@ def build_network(cfg: SimConfig, seed_users: np.random.SeedSequence) -> topo.Ne
     if spec.helper_layout == "center+quarters":
         coords = topo.default_helper_layout(spec.side_m)
     else:
-        coords = []
-        for part in spec.helper_layout.split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            try:
-                x, y = part.split(":")
-                coords.append((float(x), float(y)))
-            except ValueError as exc:
-                raise ConfigError(f"topology.helper_layout: cannot parse {part!r}") from exc
+        coords = _parse_layout(spec.helper_layout, "topology.helper_layout")
         if not coords:
             raise ConfigError("topology.helper_layout produced no helpers")
     helpers = [
@@ -105,37 +96,35 @@ def build_network(cfg: SimConfig, seed_users: np.random.SeedSequence) -> topo.Ne
     if spec.user_layout == "poisson":
         positions = topo.place_users(spec.side_m, spec.hotspot_side_m, spec.mean_users, spec.hotspot_ratio, seed_users)
     else:
-        positions = []
-        for part in spec.user_layout.split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            try:
-                x, y = part.split(":")
-                positions.append((float(x), float(y)))
-            except ValueError as exc:
-                raise ConfigError(f"topology.user_layout: cannot parse {part!r}") from exc
+        positions = _parse_layout(spec.user_layout, "topology.user_layout")
     if len(positions) == 0:
         raise ConfigError("topology: the user draw produced zero users; raise the mean or change the seed")
     users = [topo.UserNode(id=i, x=float(p[0]), y=float(p[1])) for i, p in enumerate(positions)]
     return topo.build_graph(helpers, users, spec.side_m, spec.edge_rule, spec.edge_threshold)
 
 
+def _parse_layout(text: str, key: str) -> list[tuple[float, float]]:
+    """Points of an explicit `x:y;x:y;...` layout; empty entries are skipped."""
+    coords = []
+    for part in text.split(";"):
+        part = part.strip()
+        if not part:
+            continue
+        try:
+            x, y = part.split(":")
+            point = (float(x), float(y))
+        except ValueError as exc:
+            raise ConfigError(f"{key}: cannot parse {part!r}") from exc
+        if not (math.isfinite(point[0]) and math.isfinite(point[1])):
+            raise ConfigError(f"{key}: coordinates must be finite, got {part!r}")
+        coords.append(point)
+    return coords
+
+
 def _mobility_model(cfg: SimConfig, seed: int):
     if cfg.topology.mobility == "static":
         return None
     return topo.WaypointMobility(cfg.topology.waypoint_speed, seed=seed)
-
-
-def _helper_tables(graph: topo.NetworkGraph, state: topo.TopologyState, cfg: SimConfig):
-    """Per-helper (ids, rate rows, bit budgets, id->column map), reused across slots."""
-    tables = []
-    for h in range(len(graph.helpers)):
-        ids, rows = sched.helper_rate_rows(h, state, graph, cfg.mimo.s_max)
-        bits = np.floor(rows * cfg.mimo.symbols_per_slot).astype(np.int64) if rows.size else np.zeros_like(rows, dtype=np.int64)
-        pos = {int(u): j for j, u in enumerate(ids)}
-        tables.append((ids, rows, bits, pos))
-    return tables
 
 
 def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = False) -> SimResult:
@@ -178,14 +167,9 @@ def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = F
     mobility = _mobility_model(cfg, cfg.seed)
     static = mobility is None
     state = topo.topology_state(graph, 0, mobility)
-    tables = _helper_tables(graph, state, cfg)
+    tables = sched.helper_tables(state, graph, cfg.mimo)
     if cfg.policy == "baseline":
-        associations = sched.max_rssi_associate(state, graph)
-        rr = sched.build_round_robin(associations, graph)
-        all_sinr = sinr_matrix(state, graph)
-        su_bits = np.floor(
-            np.log2(1.0 + np.array([h.antennas for h in graph.helpers])[:, None] * all_sinr) * cfg.mimo.symbols_per_slot
-        ).astype(np.int64)
+        rr = sched.build_round_robin(sched.max_rssi_associate(state, graph), graph)
 
     n = cfg.n
     session_slots = cfg.session_chunks * n
@@ -199,7 +183,7 @@ def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = F
 
     traces: dict[str, list] | None = None
     if collect_traces:
-        traces = {"schedule": [], "client": [], "playback": [], "per_user_bits_sum": [], "per_user_bits_max": []}
+        traces = {"schedule": [], "client": [], "playback": []}
 
     t = 0
     while t < max_slots:
@@ -236,58 +220,33 @@ def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = F
 
         if not static:
             state = topo.topology_state(graph, t, mobility)
-            tables = _helper_tables(graph, state, cfg)
-            if cfg.policy == "baseline":
-                all_sinr = sinr_matrix(state, graph)
-                su_bits = np.floor(
-                    np.log2(1.0 + np.array([h.antennas for h in graph.helpers])[:, None] * all_sinr)
-                    * cfg.mimo.symbols_per_slot
-                ).astype(np.int64)
+            tables = sched.helper_tables(state, graph, cfg.mimo)
 
         weights = np.fromiter((qs.q for qs in queues), dtype=float, count=n_users)
         weight_history.append(weights)
         effective_weights = weight_history[0]
 
-        delivered_sum = np.zeros(n_users, dtype=np.int64)
-        delivered_max = np.zeros(n_users, dtype=np.int64)
         if cfg.policy == "dpp":
-            for h in range(len(graph.helpers)):
-                ids, rows, bits, pos = tables[h]
-                subset, _ = sched.greedy_from_rates(effective_weights[ids], rows, ids)
-                if not subset:
-                    continue
-                s_index = len(subset) - 1
-                total = 0
-                for u in subset:
-                    b = int(bits[s_index, pos[u]])
-                    total += b
-                    delivered_sum[u] += b
-                    if b > delivered_max[u]:
-                        delivered_max[u] = b
-                if traces is not None:
-                    traces["schedule"].append((t, h, len(subset), subset, total))
+            per_edge, subsets = sched.max_weight_slot(tables, effective_weights)
         else:
-            for h in range(len(graph.helpers)):
-                u = rr.next_user(h)
-                if u is None:
-                    continue
-                b = int(su_bits[h, u])
-                delivered_sum[u] += b
-                if b > delivered_max[u]:
-                    delivered_max[u] = b
-                if traces is not None:
-                    traces["schedule"].append((t, h, 1, (u,), b))
-
-        delivered = delivered_sum if cfg.receiver == "advanced" else delivered_max
+            per_edge, subsets = sched.round_robin_slot(rr, tables, n_users)
+        delivered = sched.aggregate_per_user(per_edge, cfg.receiver)
         if traces is not None:
-            traces["per_user_bits_sum"].append(delivered_sum)
-            traces["per_user_bits_max"].append(delivered_max)
+            for h, subset in enumerate(subsets):
+                if subset:
+                    traces["schedule"].append((t, h, len(subset), subset, int(per_edge[h].sum())))
 
         for u in np.flatnonzero(delivered):
             completed = cl.drain_bits(queues[u], int(delivered[u]))
             arrival_buffer[u].extend(completed)
 
         if check_invariants:
+            advanced_view = per_edge.sum(axis=0)
+            receiver_view = advanced_view if cfg.receiver == "advanced" else per_edge.max(axis=0)
+            if not np.array_equal(delivered, receiver_view):
+                raise RuntimeError(f"slot {t}: delivered bits are not the {cfg.receiver} receiver's view")
+            if (delivered > advanced_view).any():
+                raise RuntimeError(f"slot {t}: delivered bits exceed the advanced receiver's view")
             for u in range(n_users):
                 qs = queues[u]
                 if not qs.ledger_consistent():
@@ -397,14 +356,6 @@ def sweep(cfg: SimConfig, parameter: str, values: Sequence) -> list[tuple[object
         flat[key] = str(value)
         results.append((value, run(build_config(flat))))
     return results
-
-
-def time_average_series(trace: Sequence) -> np.ndarray:
-    """Component-wise arithmetic mean over the slots of a vector trace."""
-    arr = np.asarray(trace, dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot average an empty trace")
-    return arr.mean(axis=0)
 
 
 # ---------------------------------------------------------------------------

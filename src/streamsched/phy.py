@@ -9,10 +9,13 @@ multiplexes, not on which other users share the slot:
 where M is the antenna count and S the active subset size. Power is split
 equally across streams; interference is counted from all other helpers at
 full power.
+
+This module holds the SINR; the rate formula itself is evaluated in exactly
+one place, `scheduler.helper_rate_rows`, and every slot's bit budgets come
+from the tables `scheduler.helper_tables` builds from those rows.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,67 +42,9 @@ class MimoConfig:
             raise ConfigError("mimo.symbols_per_slot must be positive")
 
 
-@dataclass(frozen=True)
-class SubsetRates:
-    """Per-symbol rates a helper grants when serving one active subset."""
-
-    helper_id: int
-    subset: tuple[int, ...]
-    rate_per_symbol: dict[int, float]
-
-
-def sinr(h: int, u: int, state: TopologyState, graph: NetworkGraph) -> float:
-    """Large-scale SINR of user u from helper h, all other helpers interfering at full power."""
-    own = graph.helpers[h].tx_power * state.gains[h, u]
-    interference = 0.0
-    for other in range(len(graph.helpers)):
-        if other != h:
-            interference += graph.helpers[other].tx_power * state.gains[other, u]
-    return own / (1.0 + interference)
-
-
 def sinr_matrix(state: TopologyState, graph: NetworkGraph) -> np.ndarray:
-    """All-pairs SINR, vectorized; sinr_matrix[h, u] == sinr(h, u, ...)."""
+    """All-pairs large-scale SINR [h, u]; every other helper interferes at full power."""
     powers = np.array([hl.tx_power for hl in graph.helpers])
     received = powers[:, None] * state.gains
     total = received.sum(axis=0)
     return received / (1.0 + total - received)
-
-
-def user_rate_per_symbol(sinr_value: float, subset_size: int, antennas: int) -> float:
-    """Hardened per-user rate in bits/symbol for a subset of the given size."""
-    if not 1 <= subset_size <= antennas:
-        raise ValueError(f"subset size {subset_size} outside [1, {antennas}]")
-    if sinr_value < 0:
-        raise ValueError("sinr must be nonnegative")
-    prefactor = (antennas - subset_size + 1) / subset_size
-    return math.log2(1.0 + prefactor * sinr_value)
-
-
-def subset_rates(h: int, subset: tuple[int, ...], state: TopologyState, graph: NetworkGraph) -> SubsetRates:
-    """Rates for one helper serving the given subset; zero for everyone else.
-
-    All members share the same cardinality-dependent prefactor, so the rate of
-    a member does not depend on who else is in the subset.
-    """
-    helper = graph.helpers[h]
-    neighborhood = set(graph.neighbors_of_helper(h).tolist())
-    members = tuple(subset)
-    if len(set(members)) != len(members):
-        raise ValueError(f"helper {h}: duplicate users in subset {members}")
-    if any(u not in neighborhood for u in members):
-        raise ValueError(f"helper {h}: subset {members} not within its neighborhood")
-    if len(members) > helper.max_streams:
-        raise ValueError(f"helper {h}: subset size {len(members)} exceeds max_streams {helper.max_streams}")
-    rates = {u: 0.0 for u in range(len(graph.users))}
-    size = len(members)
-    for u in members:
-        rates[u] = user_rate_per_symbol(sinr(h, u, state, graph), size, helper.antennas)
-    return SubsetRates(helper_id=h, subset=members, rate_per_symbol=rates)
-
-
-def slot_bits(rate_per_symbol: float, cfg: MimoConfig) -> int:
-    """Integer bit budget of one transmission slot at the given per-symbol rate."""
-    if rate_per_symbol < 0:
-        raise ValueError("rate must be nonnegative")
-    return math.floor(cfg.symbols_per_slot * rate_per_symbol)

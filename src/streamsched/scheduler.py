@@ -1,10 +1,16 @@
-"""Per-slot transmission scheduling.
+"""Per-slot transmission scheduling: the one scheduling path.
 
 The max-weight problem decouples per helper: because a scheduled user's rate
 depends only on the active-subset cardinality, the best subset of a given size
 S is the top-S users by weighted rate, and scanning S = 1..s_max is optimal.
 An exhaustive enumerator over all subsets serves as the testing oracle, and a
 queue-oblivious max-RSSI + round-robin scheme serves as the baseline.
+
+The hardened rate model `log2(1 + ((M - S + 1) / S) * sinr)` of `phy` is
+evaluated in one place, `helper_rate_rows`. `helper_tables` turns those rows
+into per-helper bit budgets, and both per-slot policies, `max_weight_slot` and
+`round_robin_slot`, read their bits from those tables. The engine schedules
+with these functions, and the tests and `streamsched validate` check them.
 
 Both the greedy path and the oracle draw their per-user weighted rates from
 the same precomputed rate rows and sum them in ascending user-id order, so
@@ -14,23 +20,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .phy import MimoConfig, sinr_matrix, slot_bits
+from .phy import MimoConfig, sinr_matrix
 from .topology import NetworkGraph, TopologyState
 
 EXHAUSTIVE_NEIGHBORHOOD_CAP = 20
-
-
-@dataclass(frozen=True)
-class RateAllocation:
-    """One slot's scheduling outcome: per-edge and aggregated per-user bits."""
-
-    t: int
-    per_edge_bits: np.ndarray
-    per_user_bits: np.ndarray
-    active_subsets: dict[int, tuple[int, ...]]
 
 
 @dataclass
@@ -90,18 +87,6 @@ def greedy_from_rates(weights: np.ndarray, rows: np.ndarray, ids: np.ndarray) ->
     return tuple(int(ids[j]) for j in chosen), objective
 
 
-def greedy_select(
-    h: int,
-    weights: np.ndarray,
-    state: TopologyState,
-    graph: NetworkGraph,
-    cfg: MimoConfig,
-) -> tuple[tuple[int, ...], float]:
-    """Optimal active subset for helper h under the cardinality-only rate model."""
-    ids, rows = helper_rate_rows(h, state, graph, cfg.s_max)
-    return greedy_from_rates(np.asarray(weights, dtype=float)[ids], rows, ids)
-
-
 def exhaustive_select(
     h: int,
     weights: np.ndarray,
@@ -138,34 +123,64 @@ def _ordered_sum(weighted: np.ndarray, members) -> float:
     return total
 
 
-def schedule_network(
-    weights: np.ndarray,
-    state: TopologyState,
-    graph: NetworkGraph,
-    cfg: MimoConfig,
-    receiver_model: str = "advanced",
-) -> RateAllocation:
-    """Run the per-helper greedy selection and aggregate per-user bits.
+class HelperTable(NamedTuple):
+    """One helper's eligible users and what each would get per subset size S.
 
-    Advanced receivers decode every stream (sum over helpers); dumb receivers
-    keep only the strongest one.
+    rows[S-1, j] is the bits/symbol and bits[S-1, j] the integer slot budget of
+    user ids[j] when the helper serves S streams; column maps user id -> j.
     """
-    _check_receiver(receiver_model)
-    n_h, n_u = len(graph.helpers), len(graph.users)
-    per_edge = np.zeros((n_h, n_u), dtype=np.int64)
-    subsets: dict[int, tuple[int, ...]] = {}
-    for h in range(n_h):
+
+    ids: np.ndarray
+    rows: np.ndarray
+    bits: np.ndarray
+    column: dict[int, int]
+
+
+def helper_tables(state: TopologyState, graph: NetworkGraph, cfg: MimoConfig) -> list[HelperTable]:
+    """Every helper's table; valid for as long as the gains in state hold."""
+    tables = []
+    for h in range(len(graph.helpers)):
         ids, rows = helper_rate_rows(h, state, graph, cfg.s_max)
-        subset, _ = greedy_from_rates(np.asarray(weights, dtype=float)[ids], rows, ids)
-        subsets[h] = subset
-        if not subset:
-            continue
+        bits = np.floor(rows * cfg.symbols_per_slot).astype(np.int64)
+        tables.append(HelperTable(ids, rows, bits, {int(u): j for j, u in enumerate(ids)}))
+    return tables
+
+
+def max_weight_slot(tables: list[HelperTable], weights: np.ndarray) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """One slot of max-weight scheduling, helper by helper.
+
+    Returns the (helpers, users) int64 per-edge bits and each helper's active
+    subset (ascending ids, empty when it serves nobody).
+    """
+    per_edge = np.zeros((len(tables), len(weights)), dtype=np.int64)
+    subsets = []
+    for h, (ids, rows, bits, column) in enumerate(tables):
+        subset, _ = greedy_from_rates(weights[ids], rows, ids)
+        subsets.append(subset)
         s_index = len(subset) - 1
-        pos = {int(u): j for j, u in enumerate(ids)}
         for u in subset:
-            per_edge[h, u] = slot_bits(float(rows[s_index, pos[u]]), cfg)
-    per_user = aggregate_per_user(per_edge, receiver_model)
-    return RateAllocation(t=state.t, per_edge_bits=per_edge, per_user_bits=per_user, active_subsets=subsets)
+            per_edge[h, u] = bits[s_index, column[u]]
+    return per_edge, subsets
+
+
+def round_robin_slot(
+    rr: RoundRobinState, tables: list[HelperTable], n_users: int
+) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """One slot of the baseline: each helper serves its next associated user SU-MIMO.
+
+    The user gets the S=1 bit budget of the helper's table. Same return shape
+    as max_weight_slot.
+    """
+    per_edge = np.zeros((len(tables), n_users), dtype=np.int64)
+    subsets = []
+    for h, table in enumerate(tables):
+        u = rr.next_user(h)
+        if u is None:
+            subsets.append(())
+            continue
+        subsets.append((u,))
+        per_edge[h, u] = table.bits[0, table.column[u]]
+    return per_edge, subsets
 
 
 def aggregate_per_user(per_edge_bits: np.ndarray, receiver_model: str) -> np.ndarray:
@@ -176,41 +191,24 @@ def aggregate_per_user(per_edge_bits: np.ndarray, receiver_model: str) -> np.nda
 
 
 def max_rssi_associate(state: TopologyState, graph: NetworkGraph) -> np.ndarray:
-    """Map each user to the neighbor helper with the strongest received power."""
+    """Map each user to the eligible helper with the strongest received power.
+
+    Eligibility (edge + file available) is the one helper_rate_rows uses, so
+    every associated user has a column in its helper's table; a user with no
+    eligible helper maps to -1 and is never served.
+    """
+    eligible = graph.adjacency & graph.availability
     powers = np.array([h.tx_power for h in graph.helpers])
-    rssi = powers[:, None] * state.gains
-    rssi = np.where(graph.adjacency, rssi, -np.inf)
-    return rssi.argmax(axis=0)
+    rssi = np.where(eligible, powers[:, None] * state.gains, -np.inf)
+    return np.where(eligible.any(axis=0), rssi.argmax(axis=0), -1)
 
 
 def build_round_robin(associations: np.ndarray, graph: NetworkGraph) -> RoundRobinState:
     users_by_helper: dict[int, list[int]] = {h: [] for h in range(len(graph.helpers))}
     for u, h in enumerate(associations):
-        users_by_helper[int(h)].append(u)
+        if h >= 0:
+            users_by_helper[int(h)].append(u)
     return RoundRobinState(users_by_helper=users_by_helper)
-
-
-def baseline_schedule(
-    rr: RoundRobinState,
-    state: TopologyState,
-    graph: NetworkGraph,
-    cfg: MimoConfig,
-) -> RateAllocation:
-    """Queue-oblivious baseline: each helper serves its next associated user SU-MIMO."""
-    n_h, n_u = len(graph.helpers), len(graph.users)
-    per_edge = np.zeros((n_h, n_u), dtype=np.int64)
-    subsets: dict[int, tuple[int, ...]] = {}
-    all_sinr = sinr_matrix(state, graph)
-    for h in range(n_h):
-        u = rr.next_user(h)
-        if u is None:
-            subsets[h] = ()
-            continue
-        subsets[h] = (u,)
-        rate = float(np.log2(1.0 + graph.helpers[h].antennas * all_sinr[h, u]))
-        per_edge[h, u] = slot_bits(rate, cfg)
-    per_user = per_edge.sum(axis=0)
-    return RateAllocation(t=state.t, per_edge_bits=per_edge, per_user_bits=per_user, active_subsets=subsets)
 
 
 def _check_receiver(receiver_model: str) -> None:

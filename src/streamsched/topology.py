@@ -196,13 +196,6 @@ def build_graph(
     )
 
 
-class StaticMobility:
-    """Positions fixed at their construction-time values."""
-
-    def positions(self, graph: NetworkGraph, t: int) -> np.ndarray:
-        return np.array([(u.x, u.y) for u in graph.users])
-
-
 class WaypointMobility:
     """Users drift toward successive random waypoints at constant speed.
 
@@ -243,7 +236,7 @@ class WaypointMobility:
 
 def topology_state(graph: NetworkGraph, t: int = 0, mobility: object | None = None) -> TopologyState:
     """Gain snapshot at slot t under the given mobility model (default static)."""
-    if mobility is None or isinstance(mobility, StaticMobility):
+    if mobility is None:
         user_pos = np.array([(u.x, u.y) for u in graph.users])
     else:
         user_pos = mobility.positions(graph, t)

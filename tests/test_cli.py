@@ -67,6 +67,14 @@ def test_run_unknown_key_exits_2(config_file, tmp_path, capsys):
     assert "nope" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["topology.user_layout", "topology.helper_layout"])
+@pytest.mark.parametrize("layout", ["nan:40", "40:inf", "30:40;-inf:10"])
+def test_run_nonfinite_layout_exits_2(config_file, tmp_path, capsys, key, layout):
+    rc = main(["run", "--config", config_file, "--out", str(tmp_path / "o"), "--set", f"{key}={layout}"])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
 def test_run_trace_files(config_file, tmp_path):
     out = str(tmp_path / "out")
     assert main(["run", "--config", config_file, "--out", out, "--trace"]) == 0

@@ -4,7 +4,7 @@ import pytest
 from streamsched import engine
 from streamsched.config import build_config, config_hash, default_flat
 from streamsched.errors import ConfigError
-from streamsched.engine import run, sweep, time_average_series
+from streamsched.engine import run, sweep
 
 
 def small_flat(**overrides):
@@ -87,15 +87,6 @@ def test_paired_runs_share_topology_and_catalog():
     assert all((ua.x, ua.y) == (ub.x, ub.y) for ua, ub in zip(g_a.users, g_b.users))
 
 
-def test_time_average_series():
-    assert np.allclose(time_average_series([[3.0, 1.0]] * 5), [3.0, 1.0])
-    assert np.allclose(time_average_series([[0.0], [2.0], [0.0], [2.0]]), [1.0])
-    trace = np.random.default_rng(0).uniform(0, 5, (40, 3))
-    assert np.allclose(time_average_series(trace), trace.sum(axis=0) / 40)
-    with pytest.raises(ValueError):
-        time_average_series([])
-
-
 def test_sweep_shares_seed_and_keys_results():
     cfg = build_config(small_flat())
     results = sweep(cfg, "V", ["1e2", "1e4", "1e6"])
@@ -120,14 +111,22 @@ def test_sweep_unknown_parameter():
         sweep(cfg, "V", [])
 
 
-def test_receiver_views_dumb_never_exceeds_advanced():
-    # Paired per-slot comparison on the identical schedule of one run.
-    cfg = build_config(small_flat(**{"topology.user_layout": "poisson", "topology.mean_users": "6"}))
-    res = run(cfg, collect_traces=True)
-    sums = np.array(res.traces["per_user_bits_sum"])
-    maxes = np.array(res.traces["per_user_bits_max"])
-    assert (maxes <= sums).all()
-    assert (maxes > 0).any()
+def test_receiver_views_dumb_never_exceeds_advanced(monkeypatch):
+    # check_invariants compares, every slot, the delivered bits with the dumb
+    # view of the per-edge bits and with the advanced view above it.
+    flat = small_flat(receiver="dumb", **{"topology.helper_layout": "30:40;50:40",
+                                          "topology.user_layout": "poisson", "topology.mean_users": "6"})
+    res = run(build_config(flat), collect_traces=True, check_invariants=True)
+    assert res.drain_complete
+    # Some slot has a user served by both helpers, where the two views differ.
+    served = {}
+    for t, h, _, subset, _ in res.traces["schedule"]:
+        served.setdefault(t, []).extend(subset)
+    assert any(len(users) != len(set(users)) for users in served.values())
+    # Delivering the advanced view to dumb receivers trips the check.
+    monkeypatch.setattr(engine.sched, "aggregate_per_user", lambda per_edge, model: per_edge.sum(axis=0))
+    with pytest.raises(RuntimeError, match="dumb receiver's view"):
+        run(build_config(flat), check_invariants=True)
 
 
 def test_dumb_receiver_run_differs_but_completes():

@@ -8,20 +8,27 @@ from streamsched import validate
 from streamsched.phy import MimoConfig
 from streamsched.scheduler import (
     aggregate_per_user,
-    baseline_schedule,
     build_round_robin,
     exhaustive_select,
-    greedy_select,
+    greedy_from_rates,
+    helper_tables,
     max_rssi_associate,
-    schedule_network,
+    max_weight_slot,
+    round_robin_slot,
 )
 
 CFG = MimoConfig(antennas=8, s_max=4, symbols_per_slot=1000)
 
 
+def greedy(h, weights, state, graph, cfg):
+    """Helper h's greedy pick on the shared table, as max_weight_slot makes it."""
+    ids, rows, _, _ = helper_tables(state, graph, cfg)[h]
+    return greedy_from_rates(weights[ids], rows, ids)
+
+
 def test_zero_weights_lowest_id_singleton():
     graph, state = make_graph(np.random.default_rng(0).uniform(0.1, 1, (1, 5)))
-    subset, obj = greedy_select(0, np.zeros(5), state, graph, CFG)
+    subset, obj = greedy(0, np.zeros(5), state, graph, CFG)
     assert subset == (0,)
     assert obj == 0.0
 
@@ -29,7 +36,7 @@ def test_zero_weights_lowest_id_singleton():
 def test_single_positive_weight_wins_alone():
     graph, state = make_graph(np.full((1, 5), 0.5))
     weights = np.array([0.0, 0.0, 3.0, 0.0, 0.0])
-    subset, obj = greedy_select(0, weights, state, graph, CFG)
+    subset, obj = greedy(0, weights, state, graph, CFG)
     assert subset == (2,)
     assert obj > 0
 
@@ -43,9 +50,9 @@ def test_weight_scaling_leaves_subset_unchanged():
     rng = np.random.default_rng(9)
     for _ in range(100):
         graph, state, weights, cfg = validate.random_instance(rng)
-        base_subset, base_obj = greedy_select(0, weights, state, graph, cfg)
+        base_subset, base_obj = greedy(0, weights, state, graph, cfg)
         c = float(10.0 ** rng.uniform(-3, 3))
-        scaled_subset, scaled_obj = greedy_select(0, weights * c, state, graph, cfg)
+        scaled_subset, scaled_obj = greedy(0, weights * c, state, graph, cfg)
         assert scaled_subset == base_subset
         assert scaled_obj == pytest.approx(base_obj * c, rel=1e-9)
 
@@ -70,10 +77,10 @@ def test_exhaustive_su_reduction():
 
 def test_schedule_network_single_user_full_su_rate(single_link):
     graph, state = single_link
-    alloc = schedule_network(np.array([5.0]), state, graph, MimoConfig(antennas=8, s_max=4, symbols_per_slot=1000))
-    assert alloc.active_subsets[0] == (0,)
-    assert alloc.per_edge_bits[0, 0] == math.floor(1000 * math.log2(1 + 8 * 20.0))
-    assert alloc.per_user_bits[0] == alloc.per_edge_bits[0, 0]
+    per_edge, subsets = max_weight_slot(helper_tables(state, graph, CFG), np.array([5.0]))
+    assert subsets == [(0,)]
+    assert per_edge[0, 0] == math.floor(1000 * math.log2(1 + 8 * 20.0))
+    assert aggregate_per_user(per_edge, "advanced")[0] == per_edge[0, 0]
 
 
 def test_schedule_network_decouples_disjoint_neighborhoods():
@@ -81,40 +88,46 @@ def test_schedule_network_decouples_disjoint_neighborhoods():
     adjacency = gains > 0
     graph, state = make_graph(gains, adjacency=adjacency)
     weights = np.array([1.0, 2.0, 3.0, 4.0])
-    alloc = schedule_network(weights, state, graph, CFG)
+    _, subsets = max_weight_slot(helper_tables(state, graph, CFG), weights)
     for h in (0, 1):
-        solo, _ = greedy_select(h, weights, state, graph, CFG)
-        assert alloc.active_subsets[h] == solo
+        solo = exhaustive_select(h, weights, state, graph, CFG)[0]
+        assert subsets[h] == solo
+        assert set(solo) <= set(np.flatnonzero(adjacency[h]))
 
 
 def test_shared_user_sum_vs_max_aggregation():
     gains = np.array([[1.0], [0.8]])
     graph, state = make_graph(gains)
-    adv = schedule_network(np.array([2.0]), state, graph, CFG, receiver_model="advanced")
-    dumb = schedule_network(np.array([2.0]), state, graph, CFG, receiver_model="dumb")
-    assert np.array_equal(adv.per_edge_bits, dumb.per_edge_bits)
-    assert adv.per_user_bits[0] == adv.per_edge_bits[:, 0].sum()
-    assert dumb.per_user_bits[0] == adv.per_edge_bits[:, 0].max()
-    assert dumb.per_user_bits[0] <= adv.per_user_bits[0]
+    per_edge, subsets = max_weight_slot(helper_tables(state, graph, CFG), np.array([2.0]))
+    assert subsets == [(0,), (0,)]
+    adv = aggregate_per_user(per_edge, "advanced")
+    dumb = aggregate_per_user(per_edge, "dumb")
+    assert adv[0] == per_edge[:, 0].sum()
+    assert dumb[0] == per_edge[:, 0].max()
+    assert dumb[0] < adv[0]
 
 
 def test_allocation_feasibility_fuzz():
     rng = np.random.default_rng(17)
     for _ in range(60):
         n_h, n_u = int(rng.integers(1, 4)), int(rng.integers(1, 9))
-        graph, state = make_graph(rng.uniform(0, 1, (n_h, n_u)), max_streams=int(rng.integers(1, 5)))
+        max_streams = int(rng.integers(1, 5))
+        adjacency = rng.uniform(size=(n_h, n_u)) < 0.7
+        adjacency[0] = True  # every user keeps an edge
+        availability = rng.uniform(size=(n_h, n_u)) < 0.8
+        graph, state = make_graph(rng.uniform(0, 1, (n_h, n_u)), max_streams=max_streams,
+                                  adjacency=adjacency, availability=availability)
         cfg = MimoConfig(antennas=8, s_max=int(rng.integers(1, 5)), symbols_per_slot=1000)
         weights = rng.uniform(0, 10, n_u)
-        model = "advanced" if rng.uniform() < 0.5 else "dumb"
-        alloc = schedule_network(weights, state, graph, cfg, receiver_model=model)
+        per_edge, subsets = max_weight_slot(helper_tables(state, graph, cfg), weights)
         for h in range(n_h):
-            members = np.flatnonzero(alloc.per_edge_bits[h])
-            assert set(members) <= set(alloc.active_subsets[h])
-            assert len(alloc.active_subsets[h]) <= cfg.s_max
-        expected = aggregate_per_user(alloc.per_edge_bits, model)
-        assert np.array_equal(alloc.per_user_bits, expected)
-        dumb_view = aggregate_per_user(alloc.per_edge_bits, "dumb")
-        adv_view = aggregate_per_user(alloc.per_edge_bits, "advanced")
+            members = np.flatnonzero(per_edge[h])
+            assert set(members) <= set(subsets[h])
+            assert len(set(subsets[h])) == len(subsets[h])
+            assert len(subsets[h]) <= min(cfg.s_max, max_streams)
+            assert set(subsets[h]) <= set(np.flatnonzero(adjacency[h] & availability[h]))
+        dumb_view = aggregate_per_user(per_edge, "dumb")
+        adv_view = aggregate_per_user(per_edge, "advanced")
         assert (dumb_view <= adv_view).all()
 
 
@@ -123,9 +136,9 @@ def test_availability_mask_blocks_scheduling():
     availability = np.array([[True, False, True]])
     graph, state = make_graph(gains, availability=availability)
     weights = np.array([0.0, 100.0, 1.0])  # the blocked user has the huge weight
-    alloc = schedule_network(weights, state, graph, CFG)
-    assert alloc.per_edge_bits[0, 1] == 0
-    assert 1 not in alloc.active_subsets[0]
+    per_edge, subsets = max_weight_slot(helper_tables(state, graph, CFG), weights)
+    assert per_edge[0, 1] == 0
+    assert 1 not in subsets[0]
 
 
 def test_max_rssi_single_helper_and_ties():
@@ -140,13 +153,48 @@ def test_max_rssi_colocated_user():
     assert max_rssi_associate(state, graph)[0] == 1
 
 
+def test_max_rssi_skips_helpers_without_the_file():
+    # User 0's strongest helper lacks its file; user 1 has no eligible helper at all.
+    availability = np.array([[True, False], [False, False]])
+    graph, state = make_graph(np.array([[0.2, 0.5], [1.0, 0.9]]), availability=availability)
+    assoc = max_rssi_associate(state, graph)
+    assert list(assoc) == [0, -1]
+    rr = build_round_robin(assoc, graph)
+    for _ in range(3):
+        per_edge, subsets = round_robin_slot(rr, helper_tables(state, graph, CFG), 2)
+        assert subsets == [(0,), ()]
+        assert per_edge[:, 1].sum() == 0
+
+
 def test_baseline_round_robin_period():
     gains = np.full((1, 3), 0.5)
     graph, state = make_graph(gains)
     rr = build_round_robin(np.zeros(3, dtype=int), graph)
-    cfg = MimoConfig(antennas=8, s_max=2, symbols_per_slot=1000)
-    served = [baseline_schedule(rr, state, graph, cfg).active_subsets[0][0] for _ in range(6)]
+    tables = helper_tables(state, graph, MimoConfig(antennas=8, s_max=2, symbols_per_slot=1000))
+    served = [round_robin_slot(rr, tables, 3)[1][0][0] for _ in range(6)]
     assert served == [0, 1, 2, 0, 1, 2]
+
+
+def test_round_robin_bits_are_the_su_mimo_budget():
+    # floor(symbols * log2(1 + M * sinr)), recomputed from the gains and powers.
+    rng = np.random.default_rng(5)
+    gains = rng.uniform(0.05, 1, (3, 7))
+    powers = rng.uniform(1, 40, 3)
+    graph, state = make_graph(gains, tx_powers=powers)
+    cfg = MimoConfig(antennas=8, s_max=4, symbols_per_slot=168_000)
+    assoc = max_rssi_associate(state, graph)
+    rr = build_round_robin(assoc, graph)
+    tables = helper_tables(state, graph, cfg)
+    served = set()
+    for _ in range(7):
+        per_edge, subsets = round_robin_slot(rr, tables, 7)
+        for h, subset in enumerate(subsets):
+            for u in subset:
+                sinr = powers[h] * gains[h, u] / (1.0 + sum(powers[k] * gains[k, u] for k in range(3) if k != h))
+                assert per_edge[h, u] == math.floor(168_000 * math.log2(1 + 8 * sinr))
+                served.add(u)
+            assert per_edge[h].sum() == sum(per_edge[h, u] for u in subset)
+    assert served == set(range(7))
 
 
 def test_baseline_is_queue_oblivious():
@@ -156,20 +204,19 @@ def test_baseline_is_queue_oblivious():
     assoc = np.array([0, 0, 1, 1])
     a = build_round_robin(assoc, graph)
     b = build_round_robin(assoc, graph)
-    cfg = MimoConfig(antennas=8, s_max=2, symbols_per_slot=1000)
+    tables = helper_tables(state, graph, MimoConfig(antennas=8, s_max=2, symbols_per_slot=1000))
     for _ in range(5):
-        alloc_a = baseline_schedule(a, state, graph, cfg)
-        alloc_b = baseline_schedule(b, state, graph, cfg)
-        assert np.array_equal(alloc_a.per_edge_bits, alloc_b.per_edge_bits)
+        bits_a, _ = round_robin_slot(a, tables, 4)
+        bits_b, _ = round_robin_slot(b, tables, 4)
+        assert np.array_equal(bits_a, bits_b)
 
 
 def test_baseline_single_user_every_slot_and_idle_helper():
     gains = np.full((2, 1), 0.5)
     graph, state = make_graph(gains)
     rr = build_round_robin(np.array([0]), graph)
-    cfg = MimoConfig(antennas=8, s_max=2, symbols_per_slot=1000)
+    tables = helper_tables(state, graph, MimoConfig(antennas=8, s_max=2, symbols_per_slot=1000))
     for _ in range(4):
-        alloc = baseline_schedule(rr, state, graph, cfg)
-        assert alloc.active_subsets[0] == (0,)
-        assert alloc.active_subsets[1] == ()
-        assert alloc.per_edge_bits[1].sum() == 0
+        per_edge, subsets = round_robin_slot(rr, tables, 1)
+        assert subsets == [(0,), ()]
+        assert per_edge[1].sum() == 0

@@ -6,7 +6,7 @@ import pytest
 from streamsched.errors import ConfigError
 from streamsched.topology import (
     Helper,
-    StaticMobility,
+    TopologyState,
     UserNode,
     WaypointMobility,
     build_graph,
@@ -137,9 +137,16 @@ def test_build_graph_requires_nodes():
 def test_topology_state_static_time_invariant():
     helpers, users = _nodes()
     g = build_graph(helpers, users, 80.0)
-    s1 = topology_state(g, 0, StaticMobility())
+    s1 = topology_state(g, 0)
     s2 = topology_state(g, 12345)
     assert np.array_equal(s1.gains, s2.gains)
+
+
+def test_topology_state_rejects_negative_or_nonfinite_gains():
+    # No negative or non-finite SINR, hence no negative rate or bit budget, gets past the snapshot.
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            TopologyState(gains=np.array([[0.5, bad]]), t=0)
 
 
 def test_topology_state_colocated_gain_is_one():
