@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import engine, topology as topo, validate
-from .config import config_from_sources, config_hash
+from .config import config_from_sources, config_hash, with_key
 from .errors import ConfigError
 
 EXIT_OK = 0
@@ -94,7 +94,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             subdir = os.path.join(args.out, f"{args.param}={value}")
             os.makedirs(subdir, exist_ok=True)
             engine.write_summary_csv(result, os.path.join(subdir, "summary.csv"))
-            run_cfg = engine.build_config({**engine.flatten_config(cfg), engine.SWEEP_PARAMETERS[args.param]: str(value)})
+            run_cfg = with_key(cfg, engine.SWEEP_PARAMETERS[args.param], value)
             engine.write_run_csv(result, run_cfg, os.path.join(subdir, "run.csv"))
             delivered = [u for u in result.users if u.delivered_chunks]
             writer.writerow([

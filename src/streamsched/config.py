@@ -4,12 +4,17 @@ The canonical form of a configuration is a flat string map (the same keys the
 config file and --set overrides use); `build_config` turns that map into typed
 dataclasses and validates it. Hashing the flat map gives a stable provenance
 tag for output files.
+
+Each key is the dotted path of a dataclass field (`topology.side_m` is
+`SimConfig.topology.side_m`) and its string codec follows the field's type;
+the one exception is `mimo.m`, the key of `MimoConfig.antennas`.
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Iterable
+import math
+from dataclasses import dataclass, field, is_dataclass
+from typing import Callable, Iterable, NamedTuple, get_type_hints
 
 from .client import UtilityConfig
 from .errors import ConfigError
@@ -19,6 +24,8 @@ from .video import DEFAULT_D_MAX, DEFAULT_D_MIN, DEFAULT_SEGMENTS
 
 POLICIES = ("dpp", "baseline")
 RECEIVERS = ("advanced", "dumb")
+
+Segments = tuple[tuple[int, int, float], ...]
 
 
 @dataclass(frozen=True)
@@ -58,7 +65,7 @@ class TopologySpec:
 class VideoSpec:
     # d_min/d_max are placeholder quality bounds; the experiment's source clips
     # publish no per-mode quality scores, so only ordering and range matter.
-    segments: tuple[tuple[int, int, float], ...] = DEFAULT_SEGMENTS
+    segments: Segments = DEFAULT_SEGMENTS
     d_min: float = DEFAULT_D_MIN
     d_max: float = DEFAULT_D_MAX
     sigma: float = 0.2
@@ -129,7 +136,14 @@ class SimConfig:
         return self.drain_limit_slots if self.drain_limit_slots > 0 else 200 * self.n
 
 
-def _parse_segments(text: str) -> tuple[tuple[int, int, float], ...]:
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+def _parse_segments(text: str) -> Segments:
     """Parse '200x8@631,200x4@3908,...' into (chunks, modes, kbps) triples."""
     segments = []
     for part in text.split(","):
@@ -139,7 +153,7 @@ def _parse_segments(text: str) -> tuple[tuple[int, int, float], ...]:
         try:
             count_modes, kbps = part.split("@")
             count, modes = count_modes.lower().split("x")
-            segments.append((int(count), int(modes), float(kbps)))
+            segments.append((int(count), int(modes), _finite_float(kbps)))
         except ValueError as exc:
             raise ConfigError(f"video.segments: cannot parse segment {part!r}") from exc
     if not segments:
@@ -147,56 +161,49 @@ def _parse_segments(text: str) -> tuple[tuple[int, int, float], ...]:
     return tuple(segments)
 
 
-def _format_segments(segments: Iterable[tuple[int, int, float]]) -> str:
-    return ",".join(f"{c}x{m}@{kbps:g}" for c, m, kbps in segments)
+def _format_kbps(kbps: float) -> str:
+    short = f"{kbps:g}"
+    return short if float(short) == kbps else repr(kbps)
 
 
-def _parse_bool_policy(name: str, allowed: tuple[str, ...]):
-    def cast(text: str) -> str:
-        if text not in allowed:
-            raise ConfigError(f"{name} must be one of {allowed} (got {text!r})")
-        return text
-
-    return cast
+def _format_segments(segments: Segments) -> str:
+    return ",".join(f"{c}x{m}@{_format_kbps(kbps)}" for c, m, kbps in segments)
 
 
-# key -> (caster from string, formatter to canonical string)
-_KEY_CASTERS = {
-    "seed": (int, str),
-    "policy": (_parse_bool_policy("policy", POLICIES), str),
-    "receiver": (_parse_bool_policy("receiver", RECEIVERS), str),
-    "n": (int, str),
-    "session_chunks": (int, str),
-    "drain_limit_slots": (int, str),
-    "t_gop_seconds": (float, repr),
-    "slot_seconds": (float, repr),
-    "scheduler_staleness": (int, str),
-    "utility.alpha": (float, repr),
-    "utility.v": (float, repr),
-    "mimo.m": (int, str),
-    "mimo.s_max": (int, str),
-    "mimo.symbols_per_slot": (int, str),
-    "topology.side_m": (float, repr),
-    "topology.helper_layout": (str, str),
-    "topology.user_layout": (str, str),
-    "topology.tx_power": (float, repr),
-    "topology.mean_users": (float, repr),
-    "topology.hotspot_side_m": (float, repr),
-    "topology.hotspot_ratio": (float, repr),
-    "topology.edge_rule": (str, str),
-    "topology.edge_threshold": (float, repr),
-    "topology.mobility": (str, str),
-    "topology.waypoint_speed": (float, repr),
-    "video.segments": (_parse_segments, _format_segments),
-    "video.d_min": (float, repr),
-    "video.d_max": (float, repr),
-    "video.sigma": (float, repr),
-    "video.ladder_ratio": (float, repr),
-    "playback.window_slots": (int, str),
-    "playback.rho": (float, repr),
+# declared field type -> (parser from string, formatter to canonical string)
+_CODECS = {
+    int: (int, str),
+    float: (_finite_float, repr),
+    str: (str, str),
+    Segments: (_parse_segments, _format_segments),
 }
+# A key is `<section>.<field>` or a top-level `<field>`, except these.
+_RENAMED_KEYS = {("mimo", "antennas"): "mimo.m"}
 
-KNOWN_KEYS = tuple(sorted(_KEY_CASTERS))
+
+class _Key(NamedTuple):
+    section: str | None
+    name: str
+    parse: Callable[[str], object]
+    format: Callable[[object], str]
+
+
+def _key_table() -> tuple[dict[str, type], dict[str, _Key]]:
+    """Sections (the dataclass-typed fields of SimConfig) and every key, in field order."""
+    sections: dict[str, type] = {}
+    keys: dict[str, _Key] = {}
+    for top, top_type in get_type_hints(SimConfig).items():
+        if not is_dataclass(top_type):
+            keys[top] = _Key(None, top, *_CODECS[top_type])
+            continue
+        sections[top] = top_type
+        for name, field_type in get_type_hints(top_type).items():
+            key = _RENAMED_KEYS.get((top, name), f"{top}.{name}")
+            keys[key] = _Key(top, name, *_CODECS[field_type])
+    return sections, keys
+
+
+_SECTIONS, _KEYS = _key_table()
 
 
 def default_flat() -> dict[str, str]:
@@ -205,97 +212,37 @@ def default_flat() -> dict[str, str]:
 
 
 def flatten_config(cfg: SimConfig) -> dict[str, str]:
-    values = {
-        "seed": cfg.seed,
-        "policy": cfg.policy,
-        "receiver": cfg.receiver,
-        "n": cfg.n,
-        "session_chunks": cfg.session_chunks,
-        "drain_limit_slots": cfg.drain_limit_slots,
-        "t_gop_seconds": cfg.t_gop_seconds,
-        "slot_seconds": cfg.slot_seconds,
-        "scheduler_staleness": cfg.scheduler_staleness,
-        "utility.alpha": cfg.utility.alpha,
-        "utility.v": cfg.utility.v,
-        "mimo.m": cfg.mimo.antennas,
-        "mimo.s_max": cfg.mimo.s_max,
-        "mimo.symbols_per_slot": cfg.mimo.symbols_per_slot,
-        "topology.side_m": cfg.topology.side_m,
-        "topology.helper_layout": cfg.topology.helper_layout,
-        "topology.user_layout": cfg.topology.user_layout,
-        "topology.tx_power": cfg.topology.tx_power,
-        "topology.mean_users": cfg.topology.mean_users,
-        "topology.hotspot_side_m": cfg.topology.hotspot_side_m,
-        "topology.hotspot_ratio": cfg.topology.hotspot_ratio,
-        "topology.edge_rule": cfg.topology.edge_rule,
-        "topology.edge_threshold": cfg.topology.edge_threshold,
-        "topology.mobility": cfg.topology.mobility,
-        "topology.waypoint_speed": cfg.topology.waypoint_speed,
-        "video.segments": cfg.video.segments,
-        "video.d_min": cfg.video.d_min,
-        "video.d_max": cfg.video.d_max,
-        "video.sigma": cfg.video.sigma,
-        "video.ladder_ratio": cfg.video.ladder_ratio,
-        "playback.window_slots": cfg.playback.window_slots,
-        "playback.rho": cfg.playback.rho,
-    }
-    return {key: _KEY_CASTERS[key][1](val) for key, val in values.items()}
+    flat = {}
+    for key, spec in _KEYS.items():
+        owner = cfg if spec.section is None else getattr(cfg, spec.section)
+        flat[key] = spec.format(getattr(owner, spec.name))
+    return flat
 
 
 def build_config(flat: dict[str, str]) -> SimConfig:
     """Construct and validate a SimConfig from a flat string map."""
     merged = default_flat()
     for key, raw in flat.items():
-        if key not in _KEY_CASTERS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown configuration key: {key!r}")
         merged[key] = raw
-    typed = {}
+    top: dict[str, object] = {}
+    grouped: dict[str, dict[str, object]] = {section: {} for section in _SECTIONS}
     for key, raw in merged.items():
-        caster = _KEY_CASTERS[key][0]
+        spec = _KEYS[key]
         try:
-            typed[key] = caster(raw) if isinstance(raw, str) else raw
+            value = spec.parse(raw)
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    return SimConfig(
-        seed=typed["seed"],
-        policy=typed["policy"],
-        receiver=typed["receiver"],
-        n=typed["n"],
-        session_chunks=typed["session_chunks"],
-        drain_limit_slots=typed["drain_limit_slots"],
-        t_gop_seconds=typed["t_gop_seconds"],
-        slot_seconds=typed["slot_seconds"],
-        scheduler_staleness=typed["scheduler_staleness"],
-        utility=UtilityConfig(alpha=typed["utility.alpha"], v=typed["utility.v"]),
-        mimo=MimoConfig(
-            antennas=typed["mimo.m"],
-            s_max=typed["mimo.s_max"],
-            symbols_per_slot=typed["mimo.symbols_per_slot"],
-        ),
-        topology=TopologySpec(
-            side_m=typed["topology.side_m"],
-            helper_layout=typed["topology.helper_layout"],
-            user_layout=typed["topology.user_layout"],
-            tx_power=typed["topology.tx_power"],
-            mean_users=typed["topology.mean_users"],
-            hotspot_side_m=typed["topology.hotspot_side_m"],
-            hotspot_ratio=typed["topology.hotspot_ratio"],
-            edge_rule=typed["topology.edge_rule"],
-            edge_threshold=typed["topology.edge_threshold"],
-            mobility=typed["topology.mobility"],
-            waypoint_speed=typed["topology.waypoint_speed"],
-        ),
-        video=VideoSpec(
-            segments=typed["video.segments"],
-            d_min=typed["video.d_min"],
-            d_max=typed["video.d_max"],
-            sigma=typed["video.sigma"],
-            ladder_ratio=typed["video.ladder_ratio"],
-        ),
-        playback=PlaybackSpec(window_slots=typed["playback.window_slots"], rho=typed["playback.rho"]),
-    )
+        (top if spec.section is None else grouped[spec.section])[spec.name] = value
+    return SimConfig(**top, **{section: cls(**grouped[section]) for section, cls in _SECTIONS.items()})
+
+
+def with_key(cfg: SimConfig, key: str, value: object) -> SimConfig:
+    """cfg with one key set to str(value), rebuilt and validated."""
+    return build_config({**flatten_config(cfg), key: str(value)})
 
 
 def parse_config_file(path: str) -> list[tuple[str, str]]:
@@ -336,12 +283,12 @@ def config_from_sources(
     flat = default_flat()
     if config_path is not None:
         for key, value in parse_config_file(config_path):
-            if key not in _KEY_CASTERS:
+            if key not in _KEYS:
                 raise ConfigError(f"unknown configuration key in {config_path}: {key!r}")
             flat[key] = value
     for text in overrides:
         key, value = parse_override(text)
-        if key not in _KEY_CASTERS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown configuration key in override: {key!r}")
         flat[key] = value
     if seed is not None:

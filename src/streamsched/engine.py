@@ -14,7 +14,6 @@ i.e. it becomes playable at the next boundary.
 from __future__ import annotations
 
 import csv
-import math
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from . import client as cl
 from . import playback as pb
 from . import scheduler as sched
 from . import topology as topo
-from .config import SimConfig, config_hash, flatten_config, build_config
+from .config import SimConfig, config_hash, flatten_config, with_key
 from .errors import ConfigError
 from .video import VideoSession, synth_catalog
 
@@ -86,7 +85,7 @@ def build_network(cfg: SimConfig, seed_users: np.random.SeedSequence) -> topo.Ne
     if spec.helper_layout == "center+quarters":
         coords = topo.default_helper_layout(spec.side_m)
     else:
-        coords = _parse_layout(spec.helper_layout, "topology.helper_layout")
+        coords = _parse_layout(spec.helper_layout, "topology.helper_layout", spec.side_m)
         if not coords:
             raise ConfigError("topology.helper_layout produced no helpers")
     helpers = [
@@ -96,15 +95,19 @@ def build_network(cfg: SimConfig, seed_users: np.random.SeedSequence) -> topo.Ne
     if spec.user_layout == "poisson":
         positions = topo.place_users(spec.side_m, spec.hotspot_side_m, spec.mean_users, spec.hotspot_ratio, seed_users)
     else:
-        positions = _parse_layout(spec.user_layout, "topology.user_layout")
+        positions = _parse_layout(spec.user_layout, "topology.user_layout", spec.side_m)
     if len(positions) == 0:
         raise ConfigError("topology: the user draw produced zero users; raise the mean or change the seed")
     users = [topo.UserNode(id=i, x=float(p[0]), y=float(p[1])) for i, p in enumerate(positions)]
     return topo.build_graph(helpers, users, spec.side_m, spec.edge_rule, spec.edge_threshold)
 
 
-def _parse_layout(text: str, key: str) -> list[tuple[float, float]]:
-    """Points of an explicit `x:y;x:y;...` layout; empty entries are skipped."""
+def _parse_layout(text: str, key: str, side: float) -> list[tuple[float, float]]:
+    """Points of an explicit `x:y;x:y;...` layout; empty entries are skipped.
+
+    Coordinates must lie in [0, side], the region `torus_distance` wraps
+    correctly; this also rejects nan and infinities.
+    """
     coords = []
     for part in text.split(";"):
         part = part.strip()
@@ -115,8 +118,8 @@ def _parse_layout(text: str, key: str) -> list[tuple[float, float]]:
             point = (float(x), float(y))
         except ValueError as exc:
             raise ConfigError(f"{key}: cannot parse {part!r}") from exc
-        if not (math.isfinite(point[0]) and math.isfinite(point[1])):
-            raise ConfigError(f"{key}: coordinates must be finite, got {part!r}")
+        if not (0.0 <= point[0] <= side and 0.0 <= point[1] <= side):
+            raise ConfigError(f"{key}: coordinates must lie in [0, topology.side_m={side:g}], got {part!r}")
         coords.append(point)
     return coords
 
@@ -350,12 +353,7 @@ def sweep(cfg: SimConfig, parameter: str, values: Sequence) -> list[tuple[object
     if not values:
         raise ConfigError("sweep requires at least one value")
     key = SWEEP_PARAMETERS[parameter]
-    results = []
-    for value in values:
-        flat = flatten_config(cfg)
-        flat[key] = str(value)
-        results.append((value, run(build_config(flat))))
-    return results
+    return [(value, run(with_key(cfg, key, value))) for value in values]
 
 
 # ---------------------------------------------------------------------------

@@ -50,11 +50,11 @@ def helper_rate_rows(h: int, state: TopologyState, graph: NetworkGraph, s_max: i
     """Eligible user ids of helper h and their rates for every subset size.
 
     Returns (user_ids ascending, rows) with rows[S-1, j] the bits/symbol of
-    user_ids[j] when h serves S streams. Eligibility = edge + file available.
+    user_ids[j] when h serves S streams. A user is eligible when it has an
+    edge to h.
     """
     helper = graph.helpers[h]
-    eligible = graph.adjacency[h] & graph.availability[h]
-    ids = np.flatnonzero(eligible)
+    ids = np.flatnonzero(graph.adjacency[h])
     if not len(ids):
         return ids, np.empty((0, 0))
     sinr_vec = sinr_matrix(state, graph)[h, ids]
@@ -191,23 +191,21 @@ def aggregate_per_user(per_edge_bits: np.ndarray, receiver_model: str) -> np.nda
 
 
 def max_rssi_associate(state: TopologyState, graph: NetworkGraph) -> np.ndarray:
-    """Map each user to the eligible helper with the strongest received power.
+    """Map each user to the helper with the strongest received power among its edges.
 
-    Eligibility (edge + file available) is the one helper_rate_rows uses, so
-    every associated user has a column in its helper's table; a user with no
-    eligible helper maps to -1 and is never served.
+    An edge is the eligibility rule helper_rate_rows uses, so every associated
+    user has a column in its helper's table; `NetworkGraph` gives every user
+    at least one edge.
     """
-    eligible = graph.adjacency & graph.availability
     powers = np.array([h.tx_power for h in graph.helpers])
-    rssi = np.where(eligible, powers[:, None] * state.gains, -np.inf)
-    return np.where(eligible.any(axis=0), rssi.argmax(axis=0), -1)
+    rssi = np.where(graph.adjacency, powers[:, None] * state.gains, -np.inf)
+    return rssi.argmax(axis=0)
 
 
 def build_round_robin(associations: np.ndarray, graph: NetworkGraph) -> RoundRobinState:
     users_by_helper: dict[int, list[int]] = {h: [] for h in range(len(graph.helpers))}
     for u, h in enumerate(associations):
-        if h >= 0:
-            users_by_helper[int(h)].append(u)
+        users_by_helper[int(h)].append(u)
     return RoundRobinState(users_by_helper=users_by_helper)
 
 

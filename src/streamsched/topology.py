@@ -50,32 +50,24 @@ class UserNode:
 
 @dataclass(frozen=True)
 class NetworkGraph:
-    """Bipartite helper/user graph with per-edge file availability.
+    """Bipartite helper/user graph.
 
-    adjacency[h, u] marks an edge; availability[h, u] marks that helper h
-    caches the file user u streams (only meaningful on edges). Every user
-    has at least one edge.
+    adjacency[h, u] marks an edge, the only way helper h can serve user u.
+    Every user has at least one edge.
     """
 
     helpers: tuple[Helper, ...]
     users: tuple[UserNode, ...]
     side: float
     adjacency: np.ndarray
-    availability: np.ndarray
 
     def __post_init__(self) -> None:
         h, u = len(self.helpers), len(self.users)
-        if self.adjacency.shape != (h, u) or self.availability.shape != (h, u):
-            raise ConfigError("adjacency/availability shape must be (helpers, users)")
+        if self.adjacency.shape != (h, u):
+            raise ConfigError("adjacency shape must be (helpers, users)")
         if u and not self.adjacency.any(axis=0).all():
             orphan = int(np.flatnonzero(~self.adjacency.any(axis=0))[0])
             raise ConfigError(f"user {orphan} has no edge to any helper")
-
-    def neighbors_of_helper(self, h: int) -> np.ndarray:
-        return np.flatnonzero(self.adjacency[h])
-
-    def neighbors_of_user(self, u: int) -> np.ndarray:
-        return np.flatnonzero(self.adjacency[:, u])
 
 
 @dataclass(frozen=True)
@@ -91,7 +83,11 @@ class TopologyState:
 
 
 def torus_distance(a: Sequence[float], b: Sequence[float], side: float) -> float:
-    """Euclidean distance with coordinate-wise wraparound on a square of the given side."""
+    """Euclidean distance with coordinate-wise wraparound on a square of the given side.
+
+    Every coordinate must lie in [0, side]: the wrap subtracts one period at
+    most, so points further out get a wrong distance.
+    """
     if side <= 0:
         raise ConfigError(f"torus side must be positive (got {side})")
     total = 0.0
@@ -162,7 +158,6 @@ def build_graph(
     side: float,
     edge_rule: str = "all",
     snr_threshold: float = 0.0,
-    availability: np.ndarray | None = None,
 ) -> NetworkGraph:
     """Assemble the bipartite graph under an edge rule.
 
@@ -183,17 +178,7 @@ def build_graph(
         for u in range(u_count):
             if not adjacency[:, u].any():
                 adjacency[int(np.argmax(rssi[:, u])), u] = True
-    if availability is None:
-        availability = np.ones((h_count, u_count), dtype=bool)
-    else:
-        availability = np.asarray(availability, dtype=bool)
-    return NetworkGraph(
-        helpers=tuple(helpers),
-        users=tuple(users),
-        side=side,
-        adjacency=adjacency,
-        availability=availability & adjacency,
-    )
+    return NetworkGraph(helpers=tuple(helpers), users=tuple(users), side=side, adjacency=adjacency)
 
 
 class WaypointMobility:

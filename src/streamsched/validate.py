@@ -49,7 +49,6 @@ def random_instance(rng: np.random.Generator):
         users=tuple(users),
         side=100.0,
         adjacency=np.ones((n_helpers, n_users), dtype=bool),
-        availability=np.ones((n_helpers, n_users), dtype=bool),
     )
     gains = rng.uniform(0.0, 1.0, size=(n_helpers, n_users))
     state = topo.TopologyState(gains=gains, t=0)

@@ -4,7 +4,7 @@ import pytest
 from streamsched import topology as topo
 
 
-def make_graph(gains, tx_powers=None, antennas=8, max_streams=None, adjacency=None, availability=None):
+def make_graph(gains, tx_powers=None, antennas=8, max_streams=None, adjacency=None):
     """Graph + state straight from a gain matrix; positions are dummies."""
     gains = np.asarray(gains, dtype=float)
     n_h, n_u = gains.shape
@@ -19,11 +19,8 @@ def make_graph(gains, tx_powers=None, antennas=8, max_streams=None, adjacency=No
     users = tuple(topo.UserNode(id=u, x=0.0, y=0.0) for u in range(n_u))
     if adjacency is None:
         adjacency = np.ones((n_h, n_u), dtype=bool)
-    if availability is None:
-        availability = np.ones((n_h, n_u), dtype=bool)
     graph = topo.NetworkGraph(helpers=helpers, users=users, side=100.0,
-                              adjacency=np.asarray(adjacency, dtype=bool),
-                              availability=np.asarray(availability, dtype=bool))
+                              adjacency=np.asarray(adjacency, dtype=bool))
     state = topo.TopologyState(gains=gains, t=0)
     return graph, state
 

@@ -75,6 +75,34 @@ def test_run_nonfinite_layout_exits_2(config_file, tmp_path, capsys, key, layout
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,layout", [
+    ("topology.user_layout", "200:40"),
+    ("topology.user_layout", "-1:40"),
+    ("topology.helper_layout", "40:81"),
+])
+def test_run_out_of_region_layout_exits_2(config_file, tmp_path, capsys, key, layout):
+    rc = main(["run", "--config", config_file, "--out", str(tmp_path / "o"), "--set", f"{key}={layout}"])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("utility.v", "nan"),
+    ("utility.alpha", "nan"),
+    ("playback.rho", "nan"),
+    ("playback.rho", "inf"),
+    ("video.sigma", "nan"),
+    ("video.segments", "10x3@nan"),
+    ("t_gop_seconds", "nan"),
+    ("topology.tx_power", "inf"),
+    ("video.d_max", "inf"),
+])
+def test_run_nonfinite_value_exits_2(config_file, tmp_path, capsys, key, value):
+    rc = main(["run", "--config", config_file, "--out", str(tmp_path / "o"), "--set", f"{key}={value}"])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
 def test_run_trace_files(config_file, tmp_path):
     out = str(tmp_path / "out")
     assert main(["run", "--config", config_file, "--out", out, "--trace"]) == 0

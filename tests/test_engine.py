@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from streamsched import engine
-from streamsched.config import build_config, config_hash, default_flat
+from streamsched.config import SimConfig, build_config, config_hash, default_flat, flatten_config
 from streamsched.errors import ConfigError
 from streamsched.engine import run, sweep
 
@@ -175,6 +175,40 @@ def test_default_flat_round_trips():
     flat = default_flat()
     cfg = build_config(flat)
     assert engine.flatten_config(cfg) == flat
+
+
+EVERY_KEY_FLAT = {
+    "seed": "9", "policy": "baseline", "receiver": "dumb", "n": "7", "session_chunks": "33",
+    "drain_limit_slots": "123", "t_gop_seconds": "0.25", "slot_seconds": "0.005", "scheduler_staleness": "2",
+    "utility.alpha": "2", "utility.v": "3.5e9",
+    "mimo.m": "16", "mimo.s_max": "4", "mimo.symbols_per_slot": "12345",
+    "topology.side_m": "100", "topology.helper_layout": "10:10;90:90", "topology.user_layout": "20:30;40:50",
+    "topology.tx_power": "7.5", "topology.mean_users": "42", "topology.hotspot_side_m": "30",
+    "topology.hotspot_ratio": "4", "topology.edge_rule": "snr", "topology.edge_threshold": "0.5",
+    "topology.mobility": "waypoint", "topology.waypoint_speed": "0.1",
+    "video.segments": "12x3@512.5,8x2@99", "video.d_min": "0.2", "video.d_max": "0.9", "video.sigma": "0.1",
+    "video.ladder_ratio": "0.5",
+    "playback.window_slots": "15", "playback.rho": "2.5",
+}
+
+
+def test_config_hash_pinned_and_every_key_round_trips():
+    # Output files carry these digests as provenance; a change here orphans them.
+    assert config_hash(SimConfig()) == "3ce089c5a692"
+    assert config_hash(build_config(small_flat())) == "e2c74c5ad701"
+    every = build_config(EVERY_KEY_FLAT)
+    defaults, flat = default_flat(), flatten_config(every)
+    assert flat.keys() == defaults.keys() and all(flat[k] != defaults[k] for k in flat)
+    assert config_hash(every) == "35b362dba02f"
+    assert build_config(flatten_config(every)) == every
+
+
+def test_segment_rates_keep_full_precision():
+    exact = build_config(small_flat(**{"video.segments": "10x3@400"}))
+    close = build_config(small_flat(**{"video.segments": "10x3@400.0004"}))
+    assert config_hash(exact) != config_hash(close)
+    for cfg in (exact, close):
+        assert build_config(flatten_config(cfg)) == cfg
 
 
 def test_unfinished_users_still_report_metrics():

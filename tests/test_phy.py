@@ -67,7 +67,7 @@ def test_rate_domain_errors(s, m):
 
 def test_subset_rates_empty_subset():
     # A helper with no eligible user has an empty table and serves nobody.
-    graph, state = make_graph(np.full((2, 3), 0.5), availability=[[False] * 3, [True] * 3])
+    graph, state = make_graph(np.full((2, 3), 0.5), adjacency=[[False] * 3, [True] * 3])
     tables = helper_tables(state, graph, MimoConfig(antennas=8, s_max=4, symbols_per_slot=1000))
     assert len(tables[0].ids) == 0 and tables[0].bits.size == 0
     per_edge, subsets = max_weight_slot(tables, np.ones(3))

@@ -112,11 +112,10 @@ def test_allocation_feasibility_fuzz():
     for _ in range(60):
         n_h, n_u = int(rng.integers(1, 4)), int(rng.integers(1, 9))
         max_streams = int(rng.integers(1, 5))
-        adjacency = rng.uniform(size=(n_h, n_u)) < 0.7
-        adjacency[0] = True  # every user keeps an edge
-        availability = rng.uniform(size=(n_h, n_u)) < 0.8
+        adjacency = rng.uniform(size=(n_h, n_u)) < 0.6
+        adjacency[0] |= ~adjacency.any(axis=0)  # every user keeps an edge
         graph, state = make_graph(rng.uniform(0, 1, (n_h, n_u)), max_streams=max_streams,
-                                  adjacency=adjacency, availability=availability)
+                                  adjacency=adjacency)
         cfg = MimoConfig(antennas=8, s_max=int(rng.integers(1, 5)), symbols_per_slot=1000)
         weights = rng.uniform(0, 10, n_u)
         per_edge, subsets = max_weight_slot(helper_tables(state, graph, cfg), weights)
@@ -125,16 +124,17 @@ def test_allocation_feasibility_fuzz():
             assert set(members) <= set(subsets[h])
             assert len(set(subsets[h])) == len(subsets[h])
             assert len(subsets[h]) <= min(cfg.s_max, max_streams)
-            assert set(subsets[h]) <= set(np.flatnonzero(adjacency[h] & availability[h]))
+            assert set(subsets[h]) <= set(np.flatnonzero(adjacency[h]))
         dumb_view = aggregate_per_user(per_edge, "dumb")
         adv_view = aggregate_per_user(per_edge, "advanced")
         assert (dumb_view <= adv_view).all()
 
 
 def test_availability_mask_blocks_scheduling():
-    gains = np.full((1, 3), 0.5)
-    availability = np.array([[True, False, True]])
-    graph, state = make_graph(gains, availability=availability)
+    # Helper 1 is the only edge of user 1, so helper 0 must not serve it.
+    gains = np.full((2, 3), 0.5)
+    adjacency = np.array([[True, False, True], [False, True, False]])
+    graph, state = make_graph(gains, adjacency=adjacency)
     weights = np.array([0.0, 100.0, 1.0])  # the blocked user has the huge weight
     per_edge, subsets = max_weight_slot(helper_tables(state, graph, CFG), weights)
     assert per_edge[0, 1] == 0
@@ -154,16 +154,16 @@ def test_max_rssi_colocated_user():
 
 
 def test_max_rssi_skips_helpers_without_the_file():
-    # User 0's strongest helper lacks its file; user 1 has no eligible helper at all.
-    availability = np.array([[True, False], [False, False]])
-    graph, state = make_graph(np.array([[0.2, 0.5], [1.0, 0.9]]), availability=availability)
+    # User 0's strongest helper has no edge to it, so the weaker one serves it.
+    adjacency = np.array([[True, True], [False, True]])
+    graph, state = make_graph(np.array([[0.2, 0.5], [1.0, 0.9]]), adjacency=adjacency)
     assoc = max_rssi_associate(state, graph)
-    assert list(assoc) == [0, -1]
+    assert list(assoc) == [0, 1]
     rr = build_round_robin(assoc, graph)
     for _ in range(3):
         per_edge, subsets = round_robin_slot(rr, helper_tables(state, graph, CFG), 2)
-        assert subsets == [(0,), ()]
-        assert per_edge[:, 1].sum() == 0
+        assert subsets == [(0,), (1,)]
+        assert per_edge[1, 0] == 0
 
 
 def test_baseline_round_robin_period():
