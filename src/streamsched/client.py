@@ -6,6 +6,10 @@ used to steer the long-run requested quality. Chunk quality is chosen by
 minimizing Q * bits - theta * quality over the mode ladder; the auxiliary
 variable gamma maximizes V * utility(gamma) - theta * gamma over the quality
 range.
+
+Users request in lockstep: at every chunk slot the engine asks each user for
+its next chunk, so a request takes the catalog index and the session's chunk
+counter and keeps no session state here.
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .video import QualityRateProfile, VideoSession, chunk_quality, chunk_size_bits, session_chunk
+from .video import QualityRateProfile
 
 GOLDEN_SECTION_TOL = 1e-9
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -32,8 +36,8 @@ class RequestQueueState:
     """Request-queue backlog, virtual queue, and the outstanding-chunk ledger.
 
     The backlog q always equals the ledger's remaining-bits sum; cumulative
-    counters make the conservation identity checkable at any slot:
-    requested_bits == consumed_bits + q, delivered == consumed + discarded.
+    counters make the conservation identities checkable at any slot (see
+    broken_identity).
     """
 
     q: float = 0.0
@@ -44,8 +48,15 @@ class RequestQueueState:
     discarded_bits: int = 0
     delivered_bits: int = 0
 
-    def ledger_consistent(self) -> bool:
-        return self.q == float(sum(e.remaining_bits for e in self.ledger))
+    def broken_identity(self) -> str | None:
+        """The first conservation identity that does not hold, or None if all do."""
+        if self.q != float(sum(e.remaining_bits for e in self.ledger)):
+            return "backlog != ledger remaining sum"
+        if self.requested_bits != self.consumed_bits + self.q:
+            return "requested != consumed + residual"
+        if self.delivered_bits != self.consumed_bits + self.discarded_bits:
+            return "delivered != consumed + discarded"
+        return None
 
 
 @dataclass(frozen=True)
@@ -58,15 +69,6 @@ class UtilityConfig:
             raise ConfigError("utility.alpha must be nonnegative")
         if self.v <= 0:
             raise ConfigError("utility.v must be positive")
-
-
-@dataclass(frozen=True)
-class ChunkRequest:
-    chunk_id: int
-    catalog_index: int
-    mode: int
-    bits: int
-    quality: float
 
 
 def utility(alpha: float, x: float) -> float:
@@ -84,41 +86,26 @@ def select_mode(qs: RequestQueueState, profile: QualityRateProfile, i: int) -> i
     """Mode minimizing q * size - theta * quality over chunk i's ladder; ties to the lowest mode."""
     best_mode = 1
     best_score = math.inf
-    for m in range(1, profile.modes_per_chunk(i) + 1):
-        score = qs.q * chunk_size_bits(profile, i, m) - qs.theta * chunk_quality(profile, i, m)
+    for m, (size, quality) in enumerate(zip(profile.size_bits[i], profile.quality[i]), start=1):
+        score = qs.q * size - qs.theta * quality
         if score < best_score:
             best_score = score
             best_mode = m
     return best_mode
 
 
-def request_chunk(
-    qs: RequestQueueState,
-    session: VideoSession,
-    profile: QualityRateProfile,
-    t: int,
-    n: int,
-) -> ChunkRequest | None:
-    """Place the session's next chunk request; None once the session is exhausted.
+def request_chunk(qs: RequestQueueState, profile: QualityRateProfile, i: int, k: int) -> int:
+    """Request catalog chunk i as the session's k-th chunk; returns the chosen mode.
 
-    Only valid on chunk-boundary slots (t multiple of n). The requested bits
-    join the queue immediately; delivery happens over later drain calls.
+    The requested bits join the queue and the ledger at once; delivery
+    happens over later drain calls.
     """
-    if n < 1:
-        raise ConfigError("n (slots per chunk) must be positive")
-    if t % n != 0:
-        raise ValueError(f"chunk requests only happen on slots that are multiples of {n} (got t={t})")
-    if session.exhausted:
-        return None
-    k = session.next_request_index
-    i = session_chunk(session, k)
     m = select_mode(qs, profile, i)
-    bits = chunk_size_bits(profile, i, m)
+    bits = profile.size_bits[i][m - 1]
     qs.ledger.append(LedgerEntry(chunk_id=k, mode=m, total_bits=bits, remaining_bits=bits))
     qs.q += bits
     qs.requested_bits += bits
-    session.next_request_index += 1
-    return ChunkRequest(chunk_id=k, catalog_index=i, mode=m, bits=bits, quality=chunk_quality(profile, i, m))
+    return m
 
 
 def drain_bits(qs: RequestQueueState, delivered_bits: int) -> list[int]:

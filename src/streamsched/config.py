@@ -116,6 +116,8 @@ class SimConfig:
     playback: PlaybackSpec = field(default_factory=PlaybackSpec)
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.policy not in POLICIES:
             raise ConfigError(f"policy must be one of {POLICIES}")
         if self.receiver not in RECEIVERS:

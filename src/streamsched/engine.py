@@ -5,6 +5,11 @@ draining happen every slot; playback advances once per video slot (n
 transmission slots). All randomness flows from a single seed split per
 subsystem, so a run is bit-reproducible.
 
+Users request in lockstep: on chunk slot k = t // n (k < session_chunks)
+every user requests its k-th chunk, catalog index (starts[u] + k) mod the
+catalog length, where starts holds each user's random first chunk. That one
+session clock is all the session state there is.
+
 Per transmission slot t the order is: (video-slot boundary: credit arrivals
 and step playback), sample queue averages, place chunk requests and update the
 virtual queues (chunk-boundary slots only), schedule, drain delivered bits.
@@ -27,7 +32,7 @@ from . import scheduler as sched
 from . import topology as topo
 from .config import SimConfig, config_hash, flatten_config, with_key
 from .errors import ConfigError
-from .video import VideoSession, synth_catalog
+from .video import synth_catalog
 
 SWEEP_PARAMETERS = {
     "V": "utility.v",
@@ -151,12 +156,8 @@ def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = F
         t_gop_seconds=cfg.t_gop_seconds,
     )
     start_rng = np.random.default_rng(seed_starts)
-    starts = start_rng.integers(0, profile.num_chunks, size=n_users)
+    starts = start_rng.integers(0, profile.num_chunks, size=n_users).tolist()
 
-    sessions = [
-        VideoSession(user_id=u, profile=profile, start_chunk=int(starts[u]), session_length=cfg.session_chunks)
-        for u in range(n_users)
-    ]
     queues = [cl.RequestQueueState() for _ in range(n_users)]
     players = [
         pb.PlaybackState(total_chunks=cfg.session_chunks, window_size=cfg.playback.window_slots, rho=cfg.playback.rho)
@@ -208,18 +209,21 @@ def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = F
         sum_theta += [qs.theta for qs in queues]
         sampled_slots += 1
 
-        # Chunk-boundary slots: pick quality, enqueue the request, advance theta.
-        requesting = t % n == 0 and (t // n) < cfg.session_chunks
+        # Chunk-boundary slots: every user picks the quality of its k-th chunk,
+        # enqueues the request and advances theta.
+        k = t // n
+        requesting = t % n == 0 and k < cfg.session_chunks
         if requesting:
             for u in range(n_users):
                 qs = queues[u]
                 gamma = cl.optimize_gamma(qs.theta, cfg.utility, cfg.video.d_min, cfg.video.d_max)
                 gammas[u] = gamma
-                req = cl.request_chunk(qs, sessions[u], profile, t, n)
-                assert req is not None
-                requested_quality[u].append(req.quality)
-                last_mode[u], last_bits[u] = req.mode, req.bits
-                cl.update_virtual_queue(qs, gamma, req.quality)
+                i = (starts[u] + k) % profile.num_chunks
+                m = cl.request_chunk(qs, profile, i, k)
+                quality = profile.quality[i][m - 1]
+                requested_quality[u].append(quality)
+                last_mode[u], last_bits[u] = m, profile.size_bits[i][m - 1]
+                cl.update_virtual_queue(qs, gamma, quality)
 
         if not static:
             state = topo.topology_state(graph, t, mobility)
@@ -252,12 +256,9 @@ def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = F
                 raise RuntimeError(f"slot {t}: delivered bits exceed the advanced receiver's view")
             for u in range(n_users):
                 qs = queues[u]
-                if not qs.ledger_consistent():
-                    raise RuntimeError(f"slot {t}: user {u} backlog != ledger remaining sum")
-                if qs.requested_bits != qs.consumed_bits + qs.q:
-                    raise RuntimeError(f"slot {t}: user {u} requested != consumed + residual")
-                if qs.delivered_bits != qs.consumed_bits + qs.discarded_bits:
-                    raise RuntimeError(f"slot {t}: user {u} delivered != consumed + discarded")
+                broken = qs.broken_identity()
+                if broken is not None:
+                    raise RuntimeError(f"slot {t}: user {u} {broken}")
                 ledger_ids = [e.chunk_id for e in qs.ledger]
                 if ledger_ids != sorted(ledger_ids):
                     raise RuntimeError(f"slot {t}: user {u} ledger out of chunk order")
@@ -272,7 +273,8 @@ def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = F
                 )
 
         t += 1
-        if t >= session_slots and all(s.exhausted for s in sessions) and all(qs.q == 0 for qs in queues):
+        # Every request is placed by session_slots; the run ends once all queues drain.
+        if t >= session_slots and all(qs.q == 0 for qs in queues):
             break
 
     drain_complete = all(qs.q == 0 for qs in queues)
@@ -304,7 +306,7 @@ def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = F
         delivered_ids = sorted(ps.delays)
         qualities = [requested_quality[u][k] for k in delivered_ids]
         qoe = pb.qoe_metrics(ps, qualities)
-        requested = sessions[u].next_request_index
+        requested = len(requested_quality[u])
         d_bar[u] = sum(qualities) / requested if requested else 0.0
         users.append(
             UserResult(

@@ -27,7 +27,6 @@ class PlaybackState:
     rho: float = 3.0
     psi: int = 0
     phase: str = PREBUFFERING
-    arrivals: dict[int, int] = field(default_factory=dict)
     delays: dict[int, int] = field(default_factory=dict)
     t_start: int | None = None
     stall_count: int = 0
@@ -64,12 +63,11 @@ class QoeMetrics:
 def record_arrivals(ps: PlaybackState, completed_chunks: Sequence[int], i: int) -> None:
     """Credit chunks completed during video slot i to the buffer and delay ledger."""
     for k in completed_chunks:
-        if k in ps.arrivals:
+        if k in ps.delays:
             raise RuntimeError(f"chunk {k} recorded as arrived twice")
         w = i - k
         if w < 1:
             raise RuntimeError(f"chunk {k} arrived at slot {i} before it could be requested")
-        ps.arrivals[k] = i
         ps.delays[k] = w
         ps.recent.append((i, w))
     ps.psi += len(completed_chunks)

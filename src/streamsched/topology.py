@@ -7,11 +7,11 @@ given positions, so a static layout yields a time-invariant state.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import ConfigError
 
@@ -82,20 +82,19 @@ class TopologyState:
             raise ValueError("gains must be finite and nonnegative")
 
 
-def torus_distance(a: Sequence[float], b: Sequence[float], side: float) -> float:
+def torus_distance(a: ArrayLike, b: ArrayLike, side: float) -> float | np.ndarray:
     """Euclidean distance with coordinate-wise wraparound on a square of the given side.
 
-    Every coordinate must lie in [0, side]: the wrap subtracts one period at
-    most, so points further out get a wrong distance.
+    a and b are (x, y) points or arrays of them whose last axis is (x, y);
+    the leading axes broadcast. Every coordinate must lie in [0, side]: the
+    wrap subtracts one period at most, so points further out get a wrong
+    distance.
     """
     if side <= 0:
         raise ConfigError(f"torus side must be positive (got {side})")
-    total = 0.0
-    for ac, bc in zip(a, b):
-        delta = abs(ac - bc)
-        delta = min(delta, side - delta)
-        total += delta * delta
-    return math.sqrt(total)
+    delta = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
+    delta = np.minimum(delta, side - delta)
+    return np.sqrt(delta[..., 0] * delta[..., 0] + delta[..., 1] * delta[..., 1])
 
 
 def pathloss_gain(d: float, ref_distance: float = PATHLOSS_REF_DISTANCE_M, exponent: float = PATHLOSS_EXPONENT) -> float:
@@ -173,7 +172,8 @@ def build_graph(
     if edge_rule == "all":
         adjacency = np.ones((h_count, u_count), dtype=bool)
     else:
-        rssi = _gain_matrix(helpers, users, side) * np.array([h.tx_power for h in helpers])[:, None]
+        user_pos = np.array([(u.x, u.y) for u in users])
+        rssi = gain_matrix(helpers, user_pos, side) * np.array([h.tx_power for h in helpers])[:, None]
         adjacency = rssi >= snr_threshold
         for u in range(u_count):
             if not adjacency[:, u].any():
@@ -225,20 +225,19 @@ def topology_state(graph: NetworkGraph, t: int = 0, mobility: object | None = No
         user_pos = np.array([(u.x, u.y) for u in graph.users])
     else:
         user_pos = mobility.positions(graph, t)
-    gains = np.empty((len(graph.helpers), len(graph.users)))
-    for h, helper in enumerate(graph.helpers):
-        for u in range(len(graph.users)):
-            d = torus_distance((helper.x, helper.y), user_pos[u], graph.side)
-            gains[h, u] = pathloss_gain(d)
-    return TopologyState(gains=gains, t=t)
+    return TopologyState(gains=gain_matrix(graph.helpers, user_pos, graph.side), t=t)
 
 
-def _gain_matrix(helpers: Sequence[Helper], users: Sequence[UserNode], side: float) -> np.ndarray:
-    gains = np.empty((len(helpers), len(users)))
-    for h, helper in enumerate(helpers):
-        for u, user in enumerate(users):
-            gains[h, u] = pathloss_gain(torus_distance((helper.x, helper.y), (user.x, user.y), side))
-    return gains
+def gain_matrix(helpers: Sequence[Helper], user_pos: np.ndarray, side: float) -> np.ndarray:
+    """Pathloss gain of every (helper, user) pair, shape (helpers, users).
+
+    Each gain goes through `pathloss_gain` on a Python float: numpy's `**`
+    can differ from Python's in the last bit.
+    """
+    helper_pos = np.array([(h.x, h.y) for h in helpers], dtype=float).reshape(-1, 2)
+    user_pos = np.asarray(user_pos, dtype=float).reshape(-1, 2)
+    dist = torus_distance(helper_pos[:, None, :], user_pos[None, :, :], side)
+    return np.array([pathloss_gain(d) for d in dist.ravel().tolist()]).reshape(dist.shape)
 
 
 def dump_nodes_csv(graph: NetworkGraph, path: str) -> None:

@@ -3,6 +3,9 @@
 A catalog stores, for every chunk of a file, the ladder of encoding modes
 (mode 1 = fewest bits) with a quality score and a size in bits per mode.
 Profiles are immutable after construction and safe to share across workers.
+Readers index the rows directly: chunk i at mode m is quality[i][m-1] and
+size_bits[i][m-1]. A session has no object of its own; the engine maps its
+k-th chunk to catalog index (start + k) % num_chunks.
 """
 from __future__ import annotations
 
@@ -70,53 +73,6 @@ class QualityRateProfile:
         if not 0 <= i < self.num_chunks:
             raise ValueError(f"chunk index {i} out of range [0, {self.num_chunks})")
         return len(self.quality[i])
-
-
-@dataclass
-class VideoSession:
-    """One user's streaming session over a catalog, cycling modulo its length."""
-
-    user_id: int
-    profile: QualityRateProfile
-    start_chunk: int
-    session_length: int
-    next_request_index: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.start_chunk < self.profile.num_chunks:
-            raise ValueError(f"start_chunk {self.start_chunk} outside catalog")
-        if self.session_length < 1:
-            raise ValueError("session_length must be positive")
-
-    @property
-    def exhausted(self) -> bool:
-        return self.next_request_index >= self.session_length
-
-
-def chunk_quality(profile: QualityRateProfile, i: int, m: int) -> float:
-    """Quality score of chunk i at mode m (1-indexed)."""
-    _check_indices(profile, i, m)
-    return profile.quality[i][m - 1]
-
-
-def chunk_size_bits(profile: QualityRateProfile, i: int, m: int) -> int:
-    """Size in bits of chunk i at mode m (1-indexed)."""
-    _check_indices(profile, i, m)
-    return profile.size_bits[i][m - 1]
-
-
-def session_chunk(session: VideoSession, k: int) -> int:
-    """Catalog chunk index for the k-th chunk of the session (wraps around)."""
-    if not 0 <= k < session.session_length:
-        raise ValueError(f"session chunk counter {k} outside [0, {session.session_length})")
-    return (session.start_chunk + k) % session.profile.num_chunks
-
-
-def _check_indices(profile: QualityRateProfile, i: int, m: int) -> None:
-    if not 0 <= i < profile.num_chunks:
-        raise ValueError(f"chunk index {i} out of range [0, {profile.num_chunks})")
-    if not 1 <= m <= len(profile.quality[i]):
-        raise ValueError(f"mode {m} out of range [1, {len(profile.quality[i])}] at chunk {i}")
 
 
 def synth_catalog(

@@ -12,7 +12,7 @@ import pytest
 from streamsched import engine, validate
 from streamsched.client import RequestQueueState, UtilityConfig, optimize_gamma, select_mode
 from streamsched.config import build_config
-from streamsched.video import chunk_quality, chunk_size_bits, synth_catalog
+from streamsched.video import synth_catalog
 
 
 def report(criterion, detail):
@@ -44,7 +44,7 @@ def test_criterion_2_mode_selection_matches_scan_and_gamma_matches_clamp():
                                theta=float(10.0 ** rng.uniform(0, 7)) * (rng.uniform() > 0.1))
         i = int(rng.integers(0, catalog.num_chunks))
         scores = {
-            m: qs.q * chunk_size_bits(catalog, i, m) - qs.theta * chunk_quality(catalog, i, m)
+            m: qs.q * catalog.size_bits[i][m - 1] - qs.theta * catalog.quality[i][m - 1]
             for m in range(1, catalog.modes_per_chunk(i) + 1)
         }
         expected = min(scores, key=lambda m: (scores[m], m))

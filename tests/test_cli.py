@@ -96,6 +96,7 @@ def test_run_out_of_region_layout_exits_2(config_file, tmp_path, capsys, key, la
     ("t_gop_seconds", "nan"),
     ("topology.tx_power", "inf"),
     ("video.d_max", "inf"),
+    ("seed", "-1"),
 ])
 def test_run_nonfinite_value_exits_2(config_file, tmp_path, capsys, key, value):
     rc = main(["run", "--config", config_file, "--out", str(tmp_path / "o"), "--set", f"{key}={value}"])

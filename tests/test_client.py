@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from streamsched.client import (
-    ChunkRequest,
     RequestQueueState,
     UtilityConfig,
     drain_bits,
@@ -14,7 +13,7 @@ from streamsched.client import (
     update_virtual_queue,
     utility,
 )
-from streamsched.video import QualityRateProfile, VideoSession, chunk_quality, chunk_size_bits, synth_catalog
+from streamsched.video import QualityRateProfile, synth_catalog
 
 
 def profile_2x3():
@@ -58,7 +57,7 @@ def test_select_mode_matches_independent_scan():
         qs = RequestQueueState(q=float(rng.uniform(0, 1e7)), theta=float(rng.uniform(0, 1e7)))
         i = int(rng.integers(0, catalog.num_chunks))
         scores = {
-            m: qs.q * chunk_size_bits(catalog, i, m) - qs.theta * chunk_quality(catalog, i, m)
+            m: qs.q * catalog.size_bits[i][m - 1] - qs.theta * catalog.quality[i][m - 1]
             for m in range(1, catalog.modes_per_chunk(i) + 1)
         }
         expected = min(scores, key=lambda m: (scores[m], m))
@@ -80,35 +79,16 @@ def test_select_mode_scaling_invariance():
 def test_request_chunk_first_request_sets_queue():
     p = profile_2x3()
     qs = RequestQueueState(theta=3.0)
-    session = VideoSession(user_id=0, profile=p, start_chunk=0, session_length=2)
-    req = request_chunk(qs, session, p, t=0, n=50)
-    assert isinstance(req, ChunkRequest)
-    assert qs.q == req.bits == chunk_size_bits(p, 0, req.mode)
-    assert len(qs.ledger) == 1 and qs.ledger[0].chunk_id == 0
-
-
-def test_request_chunk_off_grid_slot_rejected():
-    p = profile_2x3()
-    qs = RequestQueueState()
-    session = VideoSession(user_id=0, profile=p, start_chunk=0, session_length=2)
-    with pytest.raises(ValueError):
-        request_chunk(qs, session, p, t=1, n=50)
+    m = request_chunk(qs, p, 1, 0)
+    assert m == select_mode(RequestQueueState(theta=3.0), p, 1)
+    assert qs.q == qs.requested_bits == p.size_bits[1][m - 1]
+    assert len(qs.ledger) == 1 and qs.ledger[0].chunk_id == 0 and qs.ledger[0].mode == m
 
 
 def test_request_chunk_single_mode_forced():
     p = synth_catalog([(4, 1, 500.0)], seed=0)
     qs = RequestQueueState(q=123.0, theta=456.0)
-    session = VideoSession(user_id=0, profile=p, start_chunk=0, session_length=4)
-    req = request_chunk(qs, session, p, t=0, n=10)
-    assert req.mode == 1
-
-
-def test_request_chunk_exhausted_session():
-    p = profile_2x3()
-    qs = RequestQueueState()
-    session = VideoSession(user_id=0, profile=p, start_chunk=0, session_length=1)
-    assert request_chunk(qs, session, p, t=0, n=10) is not None
-    assert request_chunk(qs, session, p, t=10, n=10) is None
+    assert request_chunk(qs, p, 0, 0) == 1
 
 
 def test_drain_clamp_discards_excess():
@@ -227,7 +207,7 @@ def test_dpp_mode_term_is_minimized_per_slot():
         qs = RequestQueueState(q=float(rng.uniform(0, 1e6)), theta=float(rng.uniform(0, 1e6)))
         i = int(rng.integers(0, catalog.num_chunks))
         m = select_mode(qs, catalog, i)
-        chosen = qs.q * chunk_size_bits(catalog, i, m) - qs.theta * chunk_quality(catalog, i, m)
+        chosen = qs.q * catalog.size_bits[i][m - 1] - qs.theta * catalog.quality[i][m - 1]
         for other in range(1, catalog.modes_per_chunk(i) + 1):
-            score = qs.q * chunk_size_bits(catalog, i, other) - qs.theta * chunk_quality(catalog, i, other)
+            score = qs.q * catalog.size_bits[i][other - 1] - qs.theta * catalog.quality[i][other - 1]
             assert chosen <= score

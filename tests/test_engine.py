@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from streamsched import engine
 from streamsched.config import SimConfig, build_config, config_hash, default_flat, flatten_config
 from streamsched.errors import ConfigError
 from streamsched.engine import run, sweep
+from streamsched.video import synth_catalog
 
 
 def small_flat(**overrides):
@@ -224,3 +227,40 @@ def test_unfinished_users_still_report_metrics():
     assert not u.playback_finished
     assert u.requested_chunks == 20
     assert not res.utility_defined or u.delivered_chunks > 0
+
+
+# sha256 of repr(SimResult) for traced small_flat() runs; repr covers every
+# result field and every schedule/client/playback trace row. A refactor that
+# changes one bit of a result or a trace changes these. They assume numpy 2
+# scalar reprs: the client trace's gamma column holds np.float64 values.
+PINNED_RESULT_DIGESTS = [
+    ({}, "27360acade8e69fc495c97613a3522f1892632d97e0b41c83862aefa61b3da08"),
+    ({"policy": "baseline", "receiver": "dumb"}, "a36c17ba06a301c49d3aeb2c5cfabe6e13a3c5b8c1b1b8f91199245364e49837"),
+]
+
+
+@pytest.mark.parametrize("overrides,digest", PINNED_RESULT_DIGESTS, ids=["dpp", "baseline-dumb"])
+def test_traced_results_match_pinned_digests(overrides, digest):
+    res = run(build_config(small_flat(**overrides)), collect_traces=True)
+    assert all(res.traces.values())
+    assert hashlib.sha256(repr(res).encode()).hexdigest() == digest
+
+
+def test_session_wraps_around_short_catalog():
+    # 30 session chunks over a 15-chunk catalog: user u's k-th request is
+    # catalog chunk (start_u + k) % 15, with start_u drawn from the third
+    # child of the seed.
+    cfg = build_config(small_flat())
+    res = run(cfg, collect_traces=True)
+    catalog = synth_catalog(cfg.video.segments, np.random.SeedSequence(cfg.seed).spawn(3)[1],
+                            d_min=cfg.video.d_min, d_max=cfg.video.d_max, sigma=cfg.video.sigma,
+                            ladder_ratio=cfg.video.ladder_ratio, t_gop_seconds=cfg.t_gop_seconds)
+    assert catalog.num_chunks < cfg.session_chunks
+    starts = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[2]).integers(
+        0, catalog.num_chunks, size=len(res.users))
+    rows = res.traces["client"]
+    assert len(rows) == cfg.session_chunks * len(res.users)
+    for t, u, _, _, _, mode, bits, _ in rows:
+        k = t // cfg.n
+        assert bits == catalog.size_bits[(starts[u] + k) % catalog.num_chunks][mode - 1]
+    assert all(u.requested_chunks == cfg.session_chunks for u in res.users)

@@ -4,12 +4,8 @@ import pytest
 from streamsched.video import (
     DEFAULT_SEGMENTS,
     QualityRateProfile,
-    VideoSession,
-    chunk_quality,
-    chunk_size_bits,
     export_catalog_csv,
     import_catalog_csv,
-    session_chunk,
     synth_catalog,
 )
 
@@ -25,32 +21,27 @@ def tiny_profile():
 
 
 def test_chunk_quality_lookup():
-    assert chunk_quality(tiny_profile(), 0, 2) == 0.95
-    assert chunk_quality(tiny_profile(), 1, 1) == 0.5
+    # Chunk i at mode m (1-indexed) is row i, column m - 1.
+    p = tiny_profile()
+    assert p.quality[0][2 - 1] == 0.95
+    assert p.quality[1][1 - 1] == 0.5
 
 
 def test_top_mode_is_max_quality():
     p = tiny_profile()
     for i in range(p.num_chunks):
-        top = chunk_quality(p, i, p.modes_per_chunk(i))
+        top = p.quality[i][p.modes_per_chunk(i) - 1]
         assert top == max(p.quality[i])
 
 
 def test_chunk_size_lookup_and_monotonicity():
+    # Chunk i at mode m (1-indexed) is row i, column m - 1.
     p = tiny_profile()
-    assert chunk_size_bits(p, 1, 2) == 80
+    assert p.size_bits[1][2 - 1] == 80
     for i in range(p.num_chunks):
-        sizes = [chunk_size_bits(p, i, m) for m in range(1, p.modes_per_chunk(i) + 1)]
+        sizes = [p.size_bits[i][m - 1] for m in range(1, p.modes_per_chunk(i) + 1)]
         assert sizes[0] == min(sizes)
         assert all(a < b for a, b in zip(sizes, sizes[1:]))
-
-
-@pytest.mark.parametrize("i,m", [(-1, 1), (2, 1), (0, 0), (0, 3), (1, 4)])
-def test_lookup_range_errors(i, m):
-    with pytest.raises(ValueError):
-        chunk_quality(tiny_profile(), i, m)
-    with pytest.raises(ValueError):
-        chunk_size_bits(tiny_profile(), i, m)
 
 
 def test_default_catalog_structure():
@@ -107,25 +98,6 @@ def test_bad_generator_config():
         synth_catalog([], seed=0)
     with pytest.raises(ValueError):
         synth_catalog([(10, 4, -5.0)], seed=0)
-
-
-def test_session_chunk_wraparound():
-    p = synth_catalog(seed=0)
-    s = VideoSession(user_id=0, profile=p, start_chunk=799, session_length=1000)
-    assert session_chunk(s, 1) == 0
-    s0 = VideoSession(user_id=0, profile=p, start_chunk=0, session_length=10)
-    assert session_chunk(s0, 0) == 0
-    s100 = VideoSession(user_id=0, profile=p, start_chunk=100, session_length=1000)
-    assert session_chunk(s100, 999) == 299
-
-
-def test_session_chunk_range_error():
-    p = synth_catalog([(4, 2, 100.0)], seed=0)
-    s = VideoSession(user_id=0, profile=p, start_chunk=0, session_length=5)
-    with pytest.raises(ValueError):
-        session_chunk(s, 5)
-    with pytest.raises(ValueError):
-        session_chunk(s, -1)
 
 
 def test_profile_invariant_validation():
