@@ -29,6 +29,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="out", help="output directory (default: ./out)")
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="streamsched",
                                      description="Cross-layer adaptive video streaming simulator")
@@ -45,9 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
 
     p_val = sub.add_parser("validate", help="run the randomized oracle suites")
-    p_val.add_argument("--instances", type=int, default=10_000, help="scheduler instances (default 10000)")
-    p_val.add_argument("--cases", type=int, default=1000, help="line-search cases (default 1000)")
-    p_val.add_argument("--seed", type=int, default=7)
+    p_val.add_argument("--instances", type=_nonnegative_int, default=10_000,
+                       help="scheduler instances (default 10000)")
+    p_val.add_argument("--cases", type=_nonnegative_int, default=1000, help="line-search cases (default 1000)")
+    p_val.add_argument("--seed", type=_nonnegative_int, default=7)
     p_val.add_argument("--inject-failure", action="store_true", help=argparse.SUPPRESS)
 
     p_topo = sub.add_parser("topology", help="generate a topology and dump nodes/gains CSVs")

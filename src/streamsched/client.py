@@ -1,19 +1,22 @@
 """Per-user pull congestion control.
 
-Each user keeps a request queue Q (bits requested but not yet delivered,
-backed by a head-of-line ledger of outstanding chunks) and a virtual queue
-used to steer the long-run requested quality. Chunk quality is chosen by
-minimizing Q * bits - theta * quality over the mode ladder; the auxiliary
-variable gamma maximizes V * utility(gamma) - theta * gamma over the quality
-range.
+Each user keeps a request queue Q (bits requested but not yet delivered) and
+a virtual queue used to steer the long-run requested quality. Chunk quality is
+chosen by minimizing Q * bits - theta * quality over the mode ladder; the
+auxiliary variable gamma maximizes V * utility(gamma) - theta * gamma over the
+quality range.
 
 Users request in lockstep: at every chunk slot the engine asks each user for
-its next chunk, so a request takes the catalog index and the session's chunk
-counter and keeps no session state here.
+its next chunk, so a request takes the catalog index and keeps no session
+state here. Chunks are requested in session order and consumed head-of-line,
+so the outstanding chunks are always the contiguous run head .. len(ends) - 1,
+and one cursor over the cumulative request sizes (ends) describes them: chunk
+k is complete once the consumed bits reach ends[k].
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -24,25 +27,18 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass
-class LedgerEntry:
-    chunk_id: int
-    mode: int
-    total_bits: int
-    remaining_bits: int
-
-
-@dataclass
 class RequestQueueState:
-    """Request-queue backlog, virtual queue, and the outstanding-chunk ledger.
+    """Request-queue backlog, virtual queue, and the head-of-line chunk cursor.
 
-    The backlog q always equals the ledger's remaining-bits sum; cumulative
-    counters make the conservation identities checkable at any slot (see
-    broken_identity).
+    ends[k] is the cumulative requested bits at the end of session chunk k, and
+    head is the first chunk not yet fully consumed. Cumulative counters make
+    the conservation identities checkable at any slot (see broken_identity).
     """
 
     q: float = 0.0
     theta: float = 0.0
-    ledger: list[LedgerEntry] = field(default_factory=list)
+    ends: list[int] = field(default_factory=list)
+    head: int = 0
     requested_bits: int = 0
     consumed_bits: int = 0
     discarded_bits: int = 0
@@ -50,8 +46,10 @@ class RequestQueueState:
 
     def broken_identity(self) -> str | None:
         """The first conservation identity that does not hold, or None if all do."""
-        if self.q != float(sum(e.remaining_bits for e in self.ledger)):
-            return "backlog != ledger remaining sum"
+        if self.requested_bits != (self.ends[-1] if self.ends else 0):
+            return "requested != last chunk end"
+        if self.head != bisect_right(self.ends, self.consumed_bits):
+            return "head != first chunk not fully consumed"
         if self.requested_bits != self.consumed_bits + self.q:
             return "requested != consumed + residual"
         if self.delivered_bits != self.consumed_bits + self.discarded_bits:
@@ -94,17 +92,17 @@ def select_mode(qs: RequestQueueState, profile: QualityRateProfile, i: int) -> i
     return best_mode
 
 
-def request_chunk(qs: RequestQueueState, profile: QualityRateProfile, i: int, k: int) -> int:
-    """Request catalog chunk i as the session's k-th chunk; returns the chosen mode.
+def request_chunk(qs: RequestQueueState, profile: QualityRateProfile, i: int) -> int:
+    """Request catalog chunk i as the session's next chunk; returns the chosen mode.
 
-    The requested bits join the queue and the ledger at once; delivery
-    happens over later drain calls.
+    The requested bits join the queue at once; delivery happens over later
+    drain calls.
     """
     m = select_mode(qs, profile, i)
     bits = profile.size_bits[i][m - 1]
-    qs.ledger.append(LedgerEntry(chunk_id=k, mode=m, total_bits=bits, remaining_bits=bits))
     qs.q += bits
     qs.requested_bits += bits
+    qs.ends.append(qs.requested_bits)
     return m
 
 
@@ -117,21 +115,13 @@ def drain_bits(qs: RequestQueueState, delivered_bits: int) -> list[int]:
     if delivered_bits < 0:
         raise ValueError("delivered bits must be nonnegative")
     qs.delivered_bits += delivered_bits
-    remaining = delivered_bits
-    completed: list[int] = []
-    while remaining > 0 and qs.ledger:
-        head = qs.ledger[0]
-        eat = min(remaining, head.remaining_bits)
-        head.remaining_bits -= eat
-        remaining -= eat
-        qs.q -= eat
-        qs.consumed_bits += eat
-        if head.remaining_bits == 0:
-            completed.append(head.chunk_id)
-            qs.ledger.pop(0)
-    if remaining > 0:
-        qs.discarded_bits += remaining
-    return completed
+    eat = min(delivered_bits, qs.requested_bits - qs.consumed_bits)
+    qs.q -= eat
+    qs.consumed_bits += eat
+    qs.discarded_bits += delivered_bits - eat
+    first = qs.head
+    qs.head = bisect_right(qs.ends, qs.consumed_bits, first)
+    return list(range(first, qs.head))
 
 
 def optimize_gamma(theta: float, cfg: UtilityConfig, d_min: float, d_max: float) -> float:

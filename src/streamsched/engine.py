@@ -10,11 +10,11 @@ every user requests its k-th chunk, catalog index (starts[u] + k) mod the
 catalog length, where starts holds each user's random first chunk. That one
 session clock is all the session state there is.
 
-Per transmission slot t the order is: (video-slot boundary: credit arrivals
-and step playback), sample queue averages, place chunk requests and update the
-virtual queues (chunk-boundary slots only), schedule, drain delivered bits.
-A chunk completed during slot t is credited to the video slot containing t,
-i.e. it becomes playable at the next boundary.
+Per transmission slot t the order is: (video-slot boundary: step playback),
+sample queue averages, place chunk requests and update the virtual queues
+(chunk-boundary slots only), schedule, drain delivered bits. A chunk completed
+during slot t is credited at once to video slot t // n + 1, the video slot
+containing t, i.e. it becomes playable at the next boundary.
 """
 from __future__ import annotations
 
@@ -138,7 +138,7 @@ def _mobility_model(cfg: SimConfig, seed: int):
 def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = False) -> SimResult:
     """Simulate one configuration end to end and summarize per-user QoE.
 
-    check_invariants asserts the queue/ledger accounting identities and the
+    check_invariants asserts the queue/cursor accounting identities and the
     playback consumption bound on every slot (slower; used by the fuzz tests).
     """
     root = np.random.SeedSequence(cfg.seed)
@@ -180,10 +180,8 @@ def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = F
     max_slots = session_slots + cfg.effective_drain_limit
     weight_history: deque[np.ndarray] = deque(maxlen=cfg.scheduler_staleness + 1)
 
-    arrival_buffer: list[list[int]] = [[] for _ in range(n_users)]
     sum_q = np.zeros(n_users)
     sum_theta = np.zeros(n_users)
-    sampled_slots = 0
 
     traces: dict[str, list] | None = None
     if collect_traces:
@@ -191,23 +189,22 @@ def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = F
 
     t = 0
     while t < max_slots:
-        # Video-slot boundary: flush completions of the finished video slot.
+        # Video-slot boundary: step playback over the finished video slot,
+        # whose completions are already credited.
         if t % n == 0 and t > 0:
             i = t // n
             for u in range(n_users):
                 ps = players[u]
                 if ps.phase == pb.FINISHED:
                     continue
-                pb.record_arrivals(ps, arrival_buffer[u], i)
-                a_i = len(arrival_buffer[u])
-                arrival_buffer[u].clear()
                 pb.playback_step(ps, i)
                 if traces is not None:
+                    # The delay window still holds every arrival credited to slot i.
+                    a_i = sum(a == i for a, _ in ps.recent)
                     traces["playback"].append((i, u, ps.psi, ps.phase, ps.e_last, a_i))
 
         sum_q += [qs.q for qs in queues]
         sum_theta += [qs.theta for qs in queues]
-        sampled_slots += 1
 
         # Chunk-boundary slots: every user picks the quality of its k-th chunk,
         # enqueues the request and advances theta.
@@ -219,7 +216,7 @@ def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = F
                 gamma = cl.optimize_gamma(qs.theta, cfg.utility, cfg.video.d_min, cfg.video.d_max)
                 gammas[u] = gamma
                 i = (starts[u] + k) % profile.num_chunks
-                m = cl.request_chunk(qs, profile, i, k)
+                m = cl.request_chunk(qs, profile, i)
                 quality = profile.quality[i][m - 1]
                 requested_quality[u].append(quality)
                 last_mode[u], last_bits[u] = m, profile.size_bits[i][m - 1]
@@ -245,7 +242,8 @@ def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = F
 
         for u in np.flatnonzero(delivered):
             completed = cl.drain_bits(queues[u], int(delivered[u]))
-            arrival_buffer[u].extend(completed)
+            if completed:
+                pb.record_arrivals(players[u], completed, k + 1)
 
         if check_invariants:
             advanced_view = per_edge.sum(axis=0)
@@ -259,10 +257,7 @@ def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = F
                 broken = qs.broken_identity()
                 if broken is not None:
                     raise RuntimeError(f"slot {t}: user {u} {broken}")
-                ledger_ids = [e.chunk_id for e in qs.ledger]
-                if ledger_ids != sorted(ledger_ids):
-                    raise RuntimeError(f"slot {t}: user {u} ledger out of chunk order")
-                if players[u].consumed_count > players[u].arrived_count:
+                if players[u].consumed_count > len(players[u].delays):
                     raise RuntimeError(f"slot {t}: user {u} played a chunk that never arrived")
 
         if traces is not None and requesting:
@@ -280,17 +275,15 @@ def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = F
     drain_complete = all(qs.q == 0 for qs in queues)
     slots_run = t
 
-    # Playback epilogue: flush whatever completed in the final partial video
-    # slot (late chunks still count toward delay metrics); if every queue
-    # drained, the remaining playout is deterministic, so step video slots
-    # through to the finish without the scheduler.
+    # Playback epilogue: step the final partial video slot (its completions
+    # are already credited; late chunks still count toward delay metrics); if
+    # every queue drained, the remaining playout is deterministic, so step
+    # video slots through to the finish without the scheduler.
     for u in range(n_users):
         ps = players[u]
         if ps.phase == pb.FINISHED:
             continue
         i = ps.last_slot + 1
-        pb.record_arrivals(ps, arrival_buffer[u], i)
-        arrival_buffer[u].clear()
         pb.playback_step(ps, i)
         if not drain_complete:
             continue
@@ -321,8 +314,8 @@ def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = F
                 prebuffer_slots=qoe.prebuffer_slots,
                 t_start=qoe.t_start,
                 mean_quality_over_requested=float(d_bar[u]),
-                mean_q_bits=float(sum_q[u] / sampled_slots),
-                mean_theta=float(sum_theta[u] / sampled_slots),
+                mean_q_bits=float(sum_q[u] / slots_run),
+                mean_theta=float(sum_theta[u] / slots_run),
                 playback_finished=ps.phase == pb.FINISHED,
                 queue_drained=queues[u].q == 0,
             )
@@ -339,8 +332,8 @@ def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = F
         users=tuple(users),
         utility=utility,
         utility_defined=utility_defined,
-        mean_q_total=float(sum_q.sum() / sampled_slots),
-        mean_theta_total=float(sum_theta.sum() / sampled_slots),
+        mean_q_total=float(sum_q.sum() / slots_run),
+        mean_theta_total=float(sum_theta.sum() / slots_run),
         drain_complete=drain_complete,
         all_finished=all(p.phase == pb.FINISHED for p in players),
         slots_run=slots_run,

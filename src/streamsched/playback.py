@@ -32,7 +32,6 @@ class PlaybackState:
     stall_count: int = 0
     stall_slots: int = 0
     prebuffer_slots: int = 0
-    arrived_count: int = 0
     consumed_count: int = 0
     last_slot: int = 0
     e_last: float = 1.0
@@ -71,7 +70,6 @@ def record_arrivals(ps: PlaybackState, completed_chunks: Sequence[int], i: int) 
         ps.delays[k] = w
         ps.recent.append((i, w))
     ps.psi += len(completed_chunks)
-    ps.arrived_count += len(completed_chunks)
 
 
 def window_max_delay(ps: PlaybackState, i: int) -> float:
@@ -105,7 +103,7 @@ def playback_step(ps: PlaybackState, i: int) -> list[str]:
         return []
     events: list[str] = []
     e_i = window_max_delay(ps, i)
-    all_arrived = ps.arrived_count >= ps.total_chunks
+    all_arrived = len(ps.delays) >= ps.total_chunks
 
     if ps.phase == PREBUFFERING:
         ps.prebuffer_slots += 1

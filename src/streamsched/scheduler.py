@@ -127,13 +127,13 @@ class HelperTable(NamedTuple):
     """One helper's eligible users and what each would get per subset size S.
 
     rows[S-1, j] is the bits/symbol and bits[S-1, j] the integer slot budget of
-    user ids[j] when the helper serves S streams; column maps user id -> j.
+    user ids[j] when the helper serves S streams; ids ascend, so a user's
+    column is ids.searchsorted(user).
     """
 
     ids: np.ndarray
     rows: np.ndarray
     bits: np.ndarray
-    column: dict[int, int]
 
 
 def helper_tables(state: TopologyState, graph: NetworkGraph, cfg: MimoConfig) -> list[HelperTable]:
@@ -142,7 +142,7 @@ def helper_tables(state: TopologyState, graph: NetworkGraph, cfg: MimoConfig) ->
     for h in range(len(graph.helpers)):
         ids, rows = helper_rate_rows(h, state, graph, cfg.s_max)
         bits = np.floor(rows * cfg.symbols_per_slot).astype(np.int64)
-        tables.append(HelperTable(ids, rows, bits, {int(u): j for j, u in enumerate(ids)}))
+        tables.append(HelperTable(ids, rows, bits))
     return tables
 
 
@@ -154,12 +154,11 @@ def max_weight_slot(tables: list[HelperTable], weights: np.ndarray) -> tuple[np.
     """
     per_edge = np.zeros((len(tables), len(weights)), dtype=np.int64)
     subsets = []
-    for h, (ids, rows, bits, column) in enumerate(tables):
+    for h, (ids, rows, bits) in enumerate(tables):
         subset, _ = greedy_from_rates(weights[ids], rows, ids)
         subsets.append(subset)
-        s_index = len(subset) - 1
-        for u in subset:
-            per_edge[h, u] = bits[s_index, column[u]]
+        if subset:
+            per_edge[h, subset] = bits[len(subset) - 1, ids.searchsorted(subset)]
     return per_edge, subsets
 
 
@@ -179,7 +178,7 @@ def round_robin_slot(
             subsets.append(())
             continue
         subsets.append((u,))
-        per_edge[h, u] = table.bits[0, table.column[u]]
+        per_edge[h, u] = table.bits[0, table.ids.searchsorted(u)]
     return per_edge, subsets
 
 

@@ -1,9 +1,9 @@
-"""Randomized oracle suites for the scheduler, the line search, and the ledger.
+"""Randomized oracle suites for the scheduler, the line search, and the request queue.
 
 These are the checks behind `streamsched validate`: the greedy subset
 selection must match exhaustive enumeration exactly, the golden-section search
-must match the analytic clamp forms, and the request-queue ledger must stay
-consistent under arbitrary request/drain interleavings.
+must match the analytic clamp forms, and the request-queue cursor and
+counters must stay consistent under arbitrary request/drain interleavings.
 """
 from __future__ import annotations
 
@@ -117,7 +117,7 @@ def gamma_closed_form(cases: int = 1000, seed: int = 11) -> SuiteResult:
 
 
 def ledger_fuzz(cases: int = 200, seed: int = 13) -> SuiteResult:
-    """Random request/drain interleavings keep the ledger and counters coherent."""
+    """Random request/drain interleavings keep the chunk cursor and counters coherent."""
     rng = np.random.default_rng(seed)
     passed = 0
     failure = None
@@ -134,9 +134,9 @@ def ledger_fuzz(cases: int = 200, seed: int = 13) -> SuiteResult:
         completed_order: list[int] = []
         problem = None
         t = k = 0
-        while k < session_length or qs.ledger:
+        while k < session_length or qs.head < len(qs.ends):
             if t % n == 0 and k < session_length:
-                cl.request_chunk(qs, profile, (start + k) % profile.num_chunks, k)
+                cl.request_chunk(qs, profile, (start + k) % profile.num_chunks)
                 k += 1
             if rng.uniform() < 0.8:
                 completed_order.extend(cl.drain_bits(qs, int(rng.integers(0, 60000))))

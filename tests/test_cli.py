@@ -160,6 +160,17 @@ def test_validate_injected_failure_exits_1(capsys):
     assert "counterexample" in err
 
 
+@pytest.mark.parametrize("option", ["--seed", "--instances", "--cases"])
+@pytest.mark.parametrize("value", ["-1", "-5"])
+def test_validate_negative_count_or_seed_exits_2(capsys, option, value):
+    args = {"--seed": "7", "--instances": "5", "--cases": "5", option: value}
+    rc = main(["validate", *(x for pair in args.items() for x in pair)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"argument {option}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_topology_dump(config_file, tmp_path):
     out = str(tmp_path / "topo")
     rc = main(["topology", "--config", config_file, "--out", out])

@@ -79,50 +79,51 @@ def test_select_mode_scaling_invariance():
 def test_request_chunk_first_request_sets_queue():
     p = profile_2x3()
     qs = RequestQueueState(theta=3.0)
-    m = request_chunk(qs, p, 1, 0)
+    m = request_chunk(qs, p, 1)
     assert m == select_mode(RequestQueueState(theta=3.0), p, 1)
     assert qs.q == qs.requested_bits == p.size_bits[1][m - 1]
-    assert len(qs.ledger) == 1 and qs.ledger[0].chunk_id == 0 and qs.ledger[0].mode == m
+    assert qs.ends == [p.size_bits[1][m - 1]] and qs.head == 0
 
 
 def test_request_chunk_single_mode_forced():
     p = synth_catalog([(4, 1, 500.0)], seed=0)
     qs = RequestQueueState(q=123.0, theta=456.0)
-    assert request_chunk(qs, p, 0, 0) == 1
+    assert request_chunk(qs, p, 0) == 1
+    assert qs.ends == [p.size_bits[0][0]]
 
 
 def test_drain_clamp_discards_excess():
-    from streamsched.client import LedgerEntry
-
-    qs = RequestQueueState(q=100.0, requested_bits=100)
-    qs.ledger.append(LedgerEntry(chunk_id=0, mode=1, total_bits=100, remaining_bits=100))
+    qs = RequestQueueState(q=100.0, ends=[100], requested_bits=100)
     completed = drain_bits(qs, 150)
     assert completed == [0]
     assert qs.q == 0.0
     assert qs.discarded_bits == 50
     assert qs.consumed_bits == 100
+    assert qs.head == 1 and qs.broken_identity() is None
 
 
 def test_drain_zero_is_identity():
-    from streamsched.client import LedgerEntry
-
-    qs = RequestQueueState(q=60.0, requested_bits=60)
-    qs.ledger.append(LedgerEntry(chunk_id=0, mode=1, total_bits=60, remaining_bits=60))
+    qs = RequestQueueState(q=60.0, ends=[60], requested_bits=60)
     assert drain_bits(qs, 0) == []
-    assert qs.q == 60.0 and qs.ledger[0].remaining_bits == 60
+    assert qs.q == 60.0 and qs.head == 0 and qs.consumed_bits == 0
 
 
 def test_drain_head_of_line_order():
-    from streamsched.client import LedgerEntry
-
-    qs = RequestQueueState(q=100.0, requested_bits=100)
-    qs.ledger.extend(
-        [LedgerEntry(0, 1, 60, 60), LedgerEntry(1, 1, 40, 40)]
-    )
+    qs = RequestQueueState(q=100.0, ends=[60, 100], requested_bits=100)
     completed = drain_bits(qs, 70)
     assert completed == [0]
     assert qs.q == 30.0
-    assert qs.ledger[0].chunk_id == 1 and qs.ledger[0].remaining_bits == 30
+    assert qs.head == 1 and qs.ends[qs.head] - qs.consumed_bits == 30
+
+
+def test_drain_completes_several_chunks_then_none_then_discards():
+    qs = RequestQueueState(q=100.0, ends=[20, 50, 70, 100], requested_bits=100)
+    assert drain_bits(qs, 75) == [0, 1, 2]
+    assert drain_bits(qs, 20) == []
+    assert (qs.head, qs.q, qs.consumed_bits) == (3, 5.0, 95)
+    assert drain_bits(qs, 40) == [3]
+    assert (qs.head, qs.q, qs.consumed_bits, qs.discarded_bits, qs.delivered_bits) == (4, 0.0, 100, 35, 135)
+    assert qs.broken_identity() is None
 
 
 def test_optimize_gamma_closed_form_log_utility():
@@ -197,6 +198,37 @@ def test_ledger_consistency_under_interleaving():
 
     suite = validate.ledger_fuzz(cases=100, seed=5)
     assert suite.ok, suite.first_failure
+
+
+def _corrupt_head(qs):
+    qs.head += 1
+
+
+def _corrupt_ends(qs):
+    qs.ends[-1] += 1
+
+
+@pytest.mark.parametrize("corrupt,reason", [
+    (_corrupt_head, "head != first chunk not fully consumed"),
+    (_corrupt_ends, "requested != last chunk end"),
+], ids=["head", "ends"])
+def test_corrupted_cursor_trips_engine_and_fuzz(monkeypatch, corrupt, reason):
+    from streamsched import client, engine, validate
+    from streamsched.config import config_from_sources
+
+    drain = client.drain_bits
+
+    def corrupting_drain(qs, delivered_bits):
+        completed = drain(qs, delivered_bits)
+        corrupt(qs)
+        return completed
+
+    monkeypatch.setattr(client, "drain_bits", corrupting_drain)
+    suite = validate.ledger_fuzz(cases=5, seed=5)
+    assert suite.passed == 0 and suite.first_failure["reason"] == reason
+    cfg = config_from_sources(None, ("topology.mean_users=4", "session_chunks=3"), 1)
+    with pytest.raises(RuntimeError, match=reason):
+        engine.run(cfg, check_invariants=True)
 
 
 def test_dpp_mode_term_is_minimized_per_slot():

@@ -162,8 +162,8 @@ def test_no_phantom_consumption_fuzz():
                 k += 1
             record_arrivals(ps, arrivals, i)
             playback_step(ps, i)
-            assert ps.consumed_count <= ps.arrived_count
-            assert ps.psi == ps.arrived_count - ps.consumed_count
+            assert ps.consumed_count <= len(ps.delays)
+            assert ps.psi == len(ps.delays) - ps.consumed_count
             if ps.phase == FINISHED:
                 break
 

@@ -22,7 +22,7 @@ CFG = MimoConfig(antennas=8, s_max=4, symbols_per_slot=1000)
 
 def greedy(h, weights, state, graph, cfg):
     """Helper h's greedy pick on the shared table, as max_weight_slot makes it."""
-    ids, rows, _, _ = helper_tables(state, graph, cfg)[h]
+    ids, rows, _ = helper_tables(state, graph, cfg)[h]
     return greedy_from_rates(weights[ids], rows, ids)
 
 
