@@ -88,23 +88,19 @@ def build_network(cfg: SimConfig, seed_users: np.random.SeedSequence) -> topo.Ne
     """Helpers from the configured layout plus Poisson-placed users."""
     spec = cfg.topology
     if spec.helper_layout == "center+quarters":
-        coords = topo.default_helper_layout(spec.side_m)
+        helpers = topo.default_helper_layout(spec.side_m)
     else:
-        coords = _parse_layout(spec.helper_layout, "topology.helper_layout", spec.side_m)
-        if not coords:
+        helpers = _parse_layout(spec.helper_layout, "topology.helper_layout", spec.side_m)
+        if not helpers:
             raise ConfigError("topology.helper_layout produced no helpers")
-    helpers = [
-        topo.Helper(id=i, x=x, y=y, antennas=cfg.mimo.antennas, max_streams=cfg.mimo.s_max, tx_power=spec.tx_power)
-        for i, (x, y) in enumerate(coords)
-    ]
     if spec.user_layout == "poisson":
-        positions = topo.place_users(spec.side_m, spec.hotspot_side_m, spec.mean_users, spec.hotspot_ratio, seed_users)
+        users = topo.place_users(spec.side_m, spec.hotspot_side_m, spec.mean_users, spec.hotspot_ratio, seed_users)
     else:
-        positions = _parse_layout(spec.user_layout, "topology.user_layout", spec.side_m)
-    if len(positions) == 0:
+        users = _parse_layout(spec.user_layout, "topology.user_layout", spec.side_m)
+    if len(users) == 0:
         raise ConfigError("topology: the user draw produced zero users; raise the mean or change the seed")
-    users = [topo.UserNode(id=i, x=float(p[0]), y=float(p[1])) for i, p in enumerate(positions)]
-    return topo.build_graph(helpers, users, spec.side_m, spec.edge_rule, spec.edge_threshold)
+    return topo.build_graph(helpers, users, spec.side_m, spec.tx_power, cfg.mimo.antennas, spec.edge_rule,
+                            spec.edge_threshold)
 
 
 def _parse_layout(text: str, key: str, side: float) -> list[tuple[float, float]]:
@@ -226,12 +222,10 @@ def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = F
             state = topo.topology_state(graph, t, mobility)
             tables = sched.helper_tables(state, graph, cfg.mimo)
 
-        weights = np.fromiter((qs.q for qs in queues), dtype=float, count=n_users)
-        weight_history.append(weights)
-        effective_weights = weight_history[0]
-
         if cfg.policy == "dpp":
-            per_edge, subsets = sched.max_weight_slot(tables, effective_weights)
+            # Max-weight reads the backlogs of scheduler_staleness slots ago (slot 0's early on).
+            weight_history.append(np.fromiter((qs.q for qs in queues), dtype=float, count=n_users))
+            per_edge, subsets = sched.max_weight_slot(tables, weight_history[0])
         else:
             per_edge, subsets = sched.round_robin_slot(rr, tables, n_users)
         delivered = sched.aggregate_per_user(per_edge, cfg.receiver)

@@ -44,7 +44,6 @@ class MimoConfig:
 
 def sinr_matrix(state: TopologyState, graph: NetworkGraph) -> np.ndarray:
     """All-pairs large-scale SINR [h, u]; every other helper interferes at full power."""
-    powers = np.array([hl.tx_power for hl in graph.helpers])
-    received = powers[:, None] * state.gains
+    received = graph.tx_power[:, None] * state.gains
     total = received.sum(axis=0)
     return received / (1.0 + total - received)

@@ -53,10 +53,8 @@ class QoeMetrics:
     buffering_percent: float
     stall_count: int
     prebuffer_slots: int
-    stall_slots: int
     t_start: int | None
     delivered_chunks: int
-    defined: bool
 
 
 def record_arrivals(ps: PlaybackState, completed_chunks: Sequence[int], i: int) -> None:
@@ -134,9 +132,8 @@ def playback_step(ps: PlaybackState, i: int) -> list[str]:
 def qoe_metrics(ps: PlaybackState, delivered_qualities: Sequence[float]) -> QoeMetrics:
     """Session summary: mean quality and delay over delivered chunks, buffering share."""
     delivered = len(ps.delays)
-    defined = delivered > 0
     avg_quality = sum(delivered_qualities) / len(delivered_qualities) if delivered_qualities else float("nan")
-    avg_delay = sum(ps.delays.values()) / delivered if defined else float("nan")
+    avg_delay = sum(ps.delays.values()) / delivered if delivered else float("nan")
     total_slots = max(ps.last_slot, 1)
     buffering = 100.0 * (ps.prebuffer_slots + ps.stall_slots) / total_slots
     return QoeMetrics(
@@ -145,8 +142,6 @@ def qoe_metrics(ps: PlaybackState, delivered_qualities: Sequence[float]) -> QoeM
         buffering_percent=buffering,
         stall_count=ps.stall_count,
         prebuffer_slots=ps.prebuffer_slots,
-        stall_slots=ps.stall_slots,
         t_start=ps.t_start,
         delivered_chunks=delivered,
-        defined=defined,
     )

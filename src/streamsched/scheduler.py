@@ -53,14 +53,12 @@ def helper_rate_rows(h: int, state: TopologyState, graph: NetworkGraph, s_max: i
     user_ids[j] when h serves S streams. A user is eligible when it has an
     edge to h.
     """
-    helper = graph.helpers[h]
     ids = np.flatnonzero(graph.adjacency[h])
     if not len(ids):
         return ids, np.empty((0, 0))
     sinr_vec = sinr_matrix(state, graph)[h, ids]
-    s_eff = min(s_max, helper.max_streams, helper.antennas)
-    sizes = np.arange(1, s_eff + 1)
-    prefactor = (helper.antennas - sizes + 1) / sizes
+    sizes = np.arange(1, min(s_max, graph.antennas) + 1)
+    prefactor = (graph.antennas - sizes + 1) / sizes
     rows = np.log2(1.0 + prefactor[:, None] * sinr_vec[None, :])
     return ids, rows
 
@@ -123,7 +121,7 @@ def _ordered_sum(weighted: np.ndarray, members) -> float:
     return total
 
 
-class HelperTable(NamedTuple):
+class RateTable(NamedTuple):
     """One helper's eligible users and what each would get per subset size S.
 
     rows[S-1, j] is the bits/symbol and bits[S-1, j] the integer slot budget of
@@ -136,17 +134,17 @@ class HelperTable(NamedTuple):
     bits: np.ndarray
 
 
-def helper_tables(state: TopologyState, graph: NetworkGraph, cfg: MimoConfig) -> list[HelperTable]:
+def helper_tables(state: TopologyState, graph: NetworkGraph, cfg: MimoConfig) -> list[RateTable]:
     """Every helper's table; valid for as long as the gains in state hold."""
     tables = []
     for h in range(len(graph.helpers)):
         ids, rows = helper_rate_rows(h, state, graph, cfg.s_max)
         bits = np.floor(rows * cfg.symbols_per_slot).astype(np.int64)
-        tables.append(HelperTable(ids, rows, bits))
+        tables.append(RateTable(ids, rows, bits))
     return tables
 
 
-def max_weight_slot(tables: list[HelperTable], weights: np.ndarray) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+def max_weight_slot(tables: list[RateTable], weights: np.ndarray) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """One slot of max-weight scheduling, helper by helper.
 
     Returns the (helpers, users) int64 per-edge bits and each helper's active
@@ -163,7 +161,7 @@ def max_weight_slot(tables: list[HelperTable], weights: np.ndarray) -> tuple[np.
 
 
 def round_robin_slot(
-    rr: RoundRobinState, tables: list[HelperTable], n_users: int
+    rr: RoundRobinState, tables: list[RateTable], n_users: int
 ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """One slot of the baseline: each helper serves its next associated user SU-MIMO.
 
@@ -196,8 +194,7 @@ def max_rssi_associate(state: TopologyState, graph: NetworkGraph) -> np.ndarray:
     user has a column in its helper's table; `NetworkGraph` gives every user
     at least one edge.
     """
-    powers = np.array([h.tx_power for h in graph.helpers])
-    rssi = np.where(graph.adjacency, powers[:, None] * state.gains, -np.inf)
+    rssi = np.where(graph.adjacency, graph.tx_power[:, None] * state.gains, -np.inf)
     return rssi.argmax(axis=0)
 
 

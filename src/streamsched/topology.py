@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -24,45 +23,29 @@ DEFAULT_TX_POWER = 20.0
 
 
 @dataclass(frozen=True)
-class Helper:
-    id: int
-    x: float
-    y: float
-    antennas: int
-    max_streams: int
-    tx_power: float
-
-    def __post_init__(self) -> None:
-        if self.antennas < 1:
-            raise ConfigError(f"helper {self.id}: antennas must be positive")
-        if not 1 <= self.max_streams <= self.antennas:
-            raise ConfigError(f"helper {self.id}: max_streams must lie in [1, antennas]")
-        if self.tx_power <= 0:
-            raise ConfigError(f"helper {self.id}: tx_power must be positive")
-
-
-@dataclass(frozen=True)
-class UserNode:
-    id: int
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
 class NetworkGraph:
-    """Bipartite helper/user graph.
+    """Bipartite helper/user graph over node positions.
 
-    adjacency[h, u] marks an edge, the only way helper h can serve user u.
-    Every user has at least one edge.
+    helpers is the (H, 2) array of helper positions and users the (N, 2)
+    array of user positions; a node's id is its row. tx_power is each
+    helper's transmit power, shape (H,), and every helper has the same
+    antenna count. adjacency[h, u] marks an edge, the only way helper h can
+    serve user u. Every user has at least one edge.
     """
 
-    helpers: tuple[Helper, ...]
-    users: tuple[UserNode, ...]
+    helpers: np.ndarray
+    users: np.ndarray
+    tx_power: np.ndarray
+    antennas: int
     side: float
     adjacency: np.ndarray
 
     def __post_init__(self) -> None:
         h, u = len(self.helpers), len(self.users)
+        if self.helpers.shape != (h, 2) or self.users.shape != (u, 2) or self.tx_power.shape != (h,):
+            raise ConfigError("helpers and users must be (count, 2) positions, tx_power one per helper")
+        if self.antennas < 1 or (self.tx_power <= 0).any():
+            raise ConfigError("antennas and tx_power must be positive")
         if self.adjacency.shape != (h, u):
             raise ConfigError("adjacency shape must be (helpers, users)")
         if u and not self.adjacency.any(axis=0).all():
@@ -72,10 +55,9 @@ class NetworkGraph:
 
 @dataclass(frozen=True)
 class TopologyState:
-    """Snapshot of large-scale gains for every helper-user pair at slot t."""
+    """Snapshot of large-scale gains for every helper-user pair."""
 
     gains: np.ndarray
-    t: int
 
     def __post_init__(self) -> None:
         if (self.gains < 0).any() or not np.isfinite(self.gains).all():
@@ -152,33 +134,36 @@ def default_helper_layout(side: float) -> list[tuple[float, float]]:
 
 
 def build_graph(
-    helpers: Sequence[Helper],
-    users: Sequence[UserNode],
+    helpers: ArrayLike,
+    users: ArrayLike,
     side: float,
+    tx_power: float,
+    antennas: int,
     edge_rule: str = "all",
     snr_threshold: float = 0.0,
 ) -> NetworkGraph:
-    """Assemble the bipartite graph under an edge rule.
+    """Assemble the bipartite graph over helper and user positions under an edge rule.
 
-    "all" connects every pair; "snr" keeps edges with tx_power * gain >= the
-    threshold, falling back to each user's best-gain helper so no user is
-    isolated.
+    Every helper gets the same tx_power and antenna count. "all" connects
+    every pair; "snr" keeps edges with tx_power * gain >= the threshold,
+    falling back to each user's best-gain helper so no user is isolated.
     """
-    if not helpers or not users:
+    helpers = np.asarray(helpers, dtype=float).reshape(-1, 2)
+    users = np.asarray(users, dtype=float).reshape(-1, 2)
+    if not len(helpers) or not len(users):
         raise ConfigError("need at least one helper and one user")
     if edge_rule not in ("all", "snr"):
         raise ConfigError(f"unknown edge rule: {edge_rule!r}")
-    h_count, u_count = len(helpers), len(users)
+    powers = np.full(len(helpers), float(tx_power))
     if edge_rule == "all":
-        adjacency = np.ones((h_count, u_count), dtype=bool)
+        adjacency = np.ones((len(helpers), len(users)), dtype=bool)
     else:
-        user_pos = np.array([(u.x, u.y) for u in users])
-        rssi = gain_matrix(helpers, user_pos, side) * np.array([h.tx_power for h in helpers])[:, None]
+        rssi = gain_matrix(helpers, users, side) * powers[:, None]
         adjacency = rssi >= snr_threshold
-        for u in range(u_count):
+        for u in range(len(users)):
             if not adjacency[:, u].any():
                 adjacency[int(np.argmax(rssi[:, u])), u] = True
-    return NetworkGraph(helpers=tuple(helpers), users=tuple(users), side=side, adjacency=adjacency)
+    return NetworkGraph(helpers, users, powers, antennas, side, adjacency)
 
 
 class WaypointMobility:
@@ -195,16 +180,15 @@ class WaypointMobility:
         self.seed = seed
 
     def positions(self, graph: NetworkGraph, t: int) -> np.ndarray:
-        start = np.array([(u.x, u.y) for u in graph.users])
-        if not len(start):
-            return start
+        pos = graph.users.copy()
+        if not len(pos):
+            return pos
         rng = np.random.default_rng(self.seed)
         side = graph.side
-        pos = start.copy()
-        remaining = np.full(len(start), float(t) * self.speed)
+        remaining = np.full(len(pos), float(t) * self.speed)
         # Advance each user along its waypoint legs; legs are resampled per user
         # in a fixed order, so the trajectory depends only on (seed, t).
-        targets = rng.uniform(0.0, side, size=(len(start), 2))
+        targets = rng.uniform(0.0, side, size=(len(pos), 2))
         for _ in range(64):
             vec = targets - pos
             dist = np.linalg.norm(vec, axis=1)
@@ -221,21 +205,16 @@ class WaypointMobility:
 
 def topology_state(graph: NetworkGraph, t: int = 0, mobility: object | None = None) -> TopologyState:
     """Gain snapshot at slot t under the given mobility model (default static)."""
-    if mobility is None:
-        user_pos = np.array([(u.x, u.y) for u in graph.users])
-    else:
-        user_pos = mobility.positions(graph, t)
-    return TopologyState(gains=gain_matrix(graph.helpers, user_pos, graph.side), t=t)
+    user_pos = graph.users if mobility is None else mobility.positions(graph, t)
+    return TopologyState(gain_matrix(graph.helpers, user_pos, graph.side))
 
 
-def gain_matrix(helpers: Sequence[Helper], user_pos: np.ndarray, side: float) -> np.ndarray:
-    """Pathloss gain of every (helper, user) pair, shape (helpers, users).
+def gain_matrix(helper_pos: np.ndarray, user_pos: np.ndarray, side: float) -> np.ndarray:
+    """Pathloss gain of every (helper, user) pair from (H, 2) and (N, 2) positions, shape (H, N).
 
     Each gain goes through `pathloss_gain` on a Python float: numpy's `**`
     can differ from Python's in the last bit.
     """
-    helper_pos = np.array([(h.x, h.y) for h in helpers], dtype=float).reshape(-1, 2)
-    user_pos = np.asarray(user_pos, dtype=float).reshape(-1, 2)
     dist = torus_distance(helper_pos[:, None, :], user_pos[None, :, :], side)
     return np.array([pathloss_gain(d) for d in dist.ravel().tolist()]).reshape(dist.shape)
 
@@ -245,10 +224,9 @@ def dump_nodes_csv(graph: NetworkGraph, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["nodeType", "id", "x", "y"])
-        for h in graph.helpers:
-            writer.writerow(["helper", h.id, repr(h.x), repr(h.y)])
-        for u in graph.users:
-            writer.writerow(["user", u.id, repr(u.x), repr(u.y)])
+        for node_type, points in (("helper", graph.helpers), ("user", graph.users)):
+            for i, (x, y) in enumerate(points.tolist()):
+                writer.writerow([node_type, i, repr(x), repr(y)])
 
 
 def dump_gains_csv(state: TopologyState, path: str) -> None:

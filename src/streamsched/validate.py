@@ -39,19 +39,15 @@ def random_instance(rng: np.random.Generator):
     n_helpers = int(rng.integers(1, 4))
     antennas = int(rng.choice([10, 20, 40]))
     s_max = int(rng.integers(1, min(10, antennas) + 1))
-    helpers = [
-        topo.Helper(id=h, x=0.0, y=0.0, antennas=antennas, max_streams=antennas, tx_power=float(rng.uniform(1, 50)))
-        for h in range(n_helpers)
-    ]
-    users = [topo.UserNode(id=u, x=0.0, y=0.0) for u in range(n_users)]
     graph = topo.NetworkGraph(
-        helpers=tuple(helpers),
-        users=tuple(users),
+        helpers=np.zeros((n_helpers, 2)),
+        users=np.zeros((n_users, 2)),
+        tx_power=rng.uniform(1, 50, size=n_helpers),
+        antennas=antennas,
         side=100.0,
         adjacency=np.ones((n_helpers, n_users), dtype=bool),
     )
-    gains = rng.uniform(0.0, 1.0, size=(n_helpers, n_users))
-    state = topo.TopologyState(gains=gains, t=0)
+    state = topo.TopologyState(rng.uniform(0.0, 1.0, size=(n_helpers, n_users)))
     weights = rng.uniform(0.0, 1.0, size=n_users) * 10.0 ** rng.integers(0, 8)
     weights[rng.uniform(size=n_users) < 0.15] = 0.0
     cfg = MimoConfig(antennas=antennas, s_max=s_max, symbols_per_slot=1000)

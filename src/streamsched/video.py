@@ -9,7 +9,6 @@ k-th chunk to catalog index (start + k) % num_chunks.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,7 +37,6 @@ class QualityRateProfile:
     with mode and quality never decreases.
     """
 
-    file_id: str
     quality: tuple[tuple[float, ...], ...]
     size_bits: tuple[tuple[int, ...], ...]
     d_min: float
@@ -84,7 +82,6 @@ def synth_catalog(
     sigma: float = 0.2,
     ladder_ratio: float = 0.67,
     t_gop_seconds: float = 0.5,
-    file_id: str = "synthetic",
 ) -> QualityRateProfile:
     """Generate a VBR catalog from segment descriptors (chunks, modes, mean kbps).
 
@@ -126,7 +123,6 @@ def synth_catalog(
             quality_rows.append(quals)
 
     return QualityRateProfile(
-        file_id=file_id,
         quality=tuple(quality_rows),
         size_bits=tuple(size_rows),
         d_min=d_min,
@@ -141,57 +137,3 @@ def _quality_ladder(sizes: Sequence[int], d_min: float, d_max: float) -> tuple[f
     span = math.log(sizes[-1] / sizes[0])
     return tuple(d_min + (d_max - d_min) * math.log(s / sizes[0]) / span for s in sizes)
 
-
-def export_catalog_csv(profile: QualityRateProfile, path: str) -> None:
-    """Write a catalog as CSV rows (fileId, chunkIndex, mode, qualityD, sizeBits)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fileId", "chunkIndex", "mode", "qualityD", "sizeBits"])
-        for i in range(profile.num_chunks):
-            for m in range(1, profile.modes_per_chunk(i) + 1):
-                writer.writerow([profile.file_id, i, m, repr(profile.quality[i][m - 1]), profile.size_bits[i][m - 1]])
-
-
-def import_catalog_csv(path: str, d_min: float | None = None, d_max: float | None = None) -> QualityRateProfile:
-    """Rebuild a catalog from its CSV export.
-
-    Bounds default to the min/max quality present in the data; pass them
-    explicitly for catalogs that do not attain their bounds.
-    """
-    rows: dict[int, dict[int, tuple[float, int]]] = {}
-    file_id = "imported"
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"empty catalog file: {path}")
-        for rec in reader:
-            if not rec:
-                continue
-            file_id = rec[0]
-            i, m = int(rec[1]), int(rec[2])
-            rows.setdefault(i, {})[m] = (float(rec[3]), int(rec[4]))
-    if not rows:
-        raise ValueError(f"catalog file has no data rows: {path}")
-    quality_rows, size_rows = [], []
-    for i in range(len(rows)):
-        if i not in rows:
-            raise ValueError(f"catalog file missing chunk {i}")
-        ladder = rows[i]
-        quals, sizes = [], []
-        for m in range(1, len(ladder) + 1):
-            if m not in ladder:
-                raise ValueError(f"catalog file missing mode {m} at chunk {i}")
-            q, b = ladder[m]
-            quals.append(q)
-            sizes.append(b)
-        quality_rows.append(tuple(quals))
-        size_rows.append(tuple(sizes))
-    all_q = [q for qs in quality_rows for q in qs]
-    return QualityRateProfile(
-        file_id=file_id,
-        quality=tuple(quality_rows),
-        size_bits=tuple(size_rows),
-        d_min=min(all_q) if d_min is None else d_min,
-        d_max=max(all_q) if d_max is None else d_max,
-    )

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 
 import pytest
@@ -20,6 +21,11 @@ utility.v = 100
 playback.window_slots = 10
 playback.rho = 2
 """
+
+TOPOLOGY_DUMP_SHA256 = {
+    "nodes.csv": "ed6e9deece885e7dfbbd1bca2257b26dbbc579fd827b2ad2c44230847209548d",
+    "gains.csv": "8d34c474d37bfed8db688ffa8615aacb18ce7dce3955ea67b3464002191fbac4",
+}
 
 
 @pytest.fixture
@@ -178,7 +184,10 @@ def test_topology_dump(config_file, tmp_path):
     with open(os.path.join(out, "nodes.csv")) as fh:
         rows = list(csv.DictReader(fh))
     assert {r["nodeType"] for r in rows} == {"helper", "user"}
-    assert os.path.exists(os.path.join(out, "gains.csv"))
+    # Byte-for-byte pins of both files for SMALL_CONFIG's explicit layouts.
+    for name, digest in TOPOLOGY_DUMP_SHA256.items():
+        with open(os.path.join(out, name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
 
 def test_usage_error_exits_2():

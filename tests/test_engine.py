@@ -87,7 +87,8 @@ def test_paired_runs_share_topology_and_catalog():
     seed = np.random.SeedSequence(1).spawn(3)[0]
     g_a = engine.build_network(build_config(flat_a), seed)
     g_b = engine.build_network(build_config(flat_b), np.random.SeedSequence(1).spawn(3)[0])
-    assert all((ua.x, ua.y) == (ub.x, ub.y) for ua, ub in zip(g_a.users, g_b.users))
+    assert np.array_equal(g_a.users, g_b.users)
+    assert np.array_equal(g_a.helpers, g_b.helpers)
 
 
 def test_sweep_shares_seed_and_keys_results():

@@ -91,12 +91,12 @@ def test_subset_rates_identical_prefactor_across_members():
 
 
 def test_subset_rates_contract_violations():
-    # Scheduled subsets stay inside the neighborhood, within max_streams, without duplicates.
+    # Scheduled subsets stay inside the neighborhood, within s_max, without duplicates.
     adjacency = [[True, True, True, False], [True, True, True, True]]
-    graph, state = make_graph(np.ones((2, 4)), max_streams=2, adjacency=adjacency)
-    tables = helper_tables(state, graph, MimoConfig(antennas=8, s_max=4, symbols_per_slot=1000))
+    graph, state = make_graph(np.ones((2, 4)), adjacency=adjacency)
+    tables = helper_tables(state, graph, MimoConfig(antennas=8, s_max=2, symbols_per_slot=1000))
     assert list(tables[0].ids) == [0, 1, 2]
-    assert tables[0].rows.shape[0] == 2  # sizes capped at max_streams
+    assert tables[0].rows.shape[0] == 2  # sizes capped at s_max
     _, subsets = max_weight_slot(tables, np.array([1.0, 1.0, 1.0, 50.0]))
     assert 3 not in subsets[0]
     assert all(len(s) <= 2 and len(set(s)) == len(s) for s in subsets)

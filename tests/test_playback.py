@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from streamsched.playback import (
@@ -209,7 +211,7 @@ def test_qoe_metrics_quality_and_delay():
     m = qoe_metrics(ps, [0.9, 0.9, 0.9])
     assert m.average_quality == pytest.approx(0.9)
     assert m.average_delay == pytest.approx((1 + 4 + 3) / 3)
-    assert m.defined
+    assert m.delivered_chunks == 3
 
 
 def test_qoe_buffering_percent_definition():
@@ -241,7 +243,8 @@ def test_qoe_undefined_with_no_deliveries():
     record_arrivals(ps, [], 1)
     playback_step(ps, 1)
     m = qoe_metrics(ps, [])
-    assert not m.defined
+    assert m.delivered_chunks == 0
+    assert math.isnan(m.average_delay) and math.isnan(m.average_quality)
 
 
 def test_consumption_in_arrival_order():

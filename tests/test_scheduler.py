@@ -111,11 +111,9 @@ def test_allocation_feasibility_fuzz():
     rng = np.random.default_rng(17)
     for _ in range(60):
         n_h, n_u = int(rng.integers(1, 4)), int(rng.integers(1, 9))
-        max_streams = int(rng.integers(1, 5))
         adjacency = rng.uniform(size=(n_h, n_u)) < 0.6
         adjacency[0] |= ~adjacency.any(axis=0)  # every user keeps an edge
-        graph, state = make_graph(rng.uniform(0, 1, (n_h, n_u)), max_streams=max_streams,
-                                  adjacency=adjacency)
+        graph, state = make_graph(rng.uniform(0, 1, (n_h, n_u)), adjacency=adjacency)
         cfg = MimoConfig(antennas=8, s_max=int(rng.integers(1, 5)), symbols_per_slot=1000)
         weights = rng.uniform(0, 10, n_u)
         per_edge, subsets = max_weight_slot(helper_tables(state, graph, cfg), weights)
@@ -123,7 +121,7 @@ def test_allocation_feasibility_fuzz():
             members = np.flatnonzero(per_edge[h])
             assert set(members) <= set(subsets[h])
             assert len(set(subsets[h])) == len(subsets[h])
-            assert len(subsets[h]) <= min(cfg.s_max, max_streams)
+            assert len(subsets[h]) <= cfg.s_max
             assert set(subsets[h]) <= set(np.flatnonzero(adjacency[h]))
         dumb_view = aggregate_per_user(per_edge, "dumb")
         adv_view = aggregate_per_user(per_edge, "advanced")

@@ -5,9 +5,7 @@ import pytest
 
 from streamsched.errors import ConfigError
 from streamsched.topology import (
-    Helper,
     TopologyState,
-    UserNode,
     WaypointMobility,
     build_graph,
     default_helper_layout,
@@ -94,49 +92,46 @@ def test_place_users_hotspot_share():
 
 
 def _nodes(n_helpers=5, n_users=10, side=80.0, seed=0):
+    """Uniform random (n_helpers, 2) helper and (n_users, 2) user positions."""
     rng = np.random.default_rng(seed)
-    helpers = [
-        Helper(id=h, x=float(rng.uniform(0, side)), y=float(rng.uniform(0, side)),
-               antennas=8, max_streams=4, tx_power=20.0)
-        for h in range(n_helpers)
-    ]
-    users = [UserNode(id=u, x=float(rng.uniform(0, side)), y=float(rng.uniform(0, side))) for u in range(n_users)]
-    return helpers, users
+    return rng.uniform(0, side, size=(n_helpers, 2)), rng.uniform(0, side, size=(n_users, 2))
 
 
 def test_build_graph_all_pairs():
     helpers, users = _nodes()
-    g = build_graph(helpers, users, 80.0, "all")
+    g = build_graph(helpers, users, 80.0, 20.0, 8, "all")
     assert int(g.adjacency.sum()) == 50
+    assert g.helpers.shape == (5, 2) and g.users.shape == (10, 2)
+    assert np.array_equal(g.tx_power, np.full(5, 20.0)) and g.antennas == 8
 
 
 def test_build_graph_huge_threshold_falls_back_to_best():
     helpers, users = _nodes()
-    g = build_graph(helpers, users, 80.0, "snr", snr_threshold=math.inf)
+    g = build_graph(helpers, users, 80.0, 20.0, 8, "snr", snr_threshold=math.inf)
     assert (g.adjacency.sum(axis=0) == 1).all()
     state = topology_state(g)
-    rssi = np.array([[h.tx_power for h in helpers]]).T * state.gains
+    rssi = g.tx_power[:, None] * state.gains
     for u in range(len(users)):
         assert g.adjacency[int(np.argmax(rssi[:, u])), u]
 
 
 def test_build_graph_zero_threshold_is_all_pairs():
     helpers, users = _nodes()
-    g = build_graph(helpers, users, 80.0, "snr", snr_threshold=0.0)
+    g = build_graph(helpers, users, 80.0, 20.0, 8, "snr", snr_threshold=0.0)
     assert g.adjacency.all()
 
 
 def test_build_graph_requires_nodes():
     helpers, users = _nodes()
     with pytest.raises(ConfigError):
-        build_graph([], users, 80.0)
+        build_graph(np.empty((0, 2)), users, 80.0, 20.0, 8)
     with pytest.raises(ConfigError):
-        build_graph(helpers, [], 80.0)
+        build_graph(helpers, [], 80.0, 20.0, 8)
 
 
 def test_topology_state_static_time_invariant():
     helpers, users = _nodes()
-    g = build_graph(helpers, users, 80.0)
+    g = build_graph(helpers, users, 80.0, 20.0, 8)
     s1 = topology_state(g, 0)
     s2 = topology_state(g, 12345)
     assert np.array_equal(s1.gains, s2.gains)
@@ -146,32 +141,26 @@ def test_topology_state_rejects_negative_or_nonfinite_gains():
     # No negative or non-finite SINR, hence no negative rate or bit budget, gets past the snapshot.
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError):
-            TopologyState(gains=np.array([[0.5, bad]]), t=0)
+            TopologyState(np.array([[0.5, bad]]))
 
 
 def test_topology_state_colocated_gain_is_one():
-    helpers = [Helper(id=0, x=10.0, y=10.0, antennas=4, max_streams=2, tx_power=20.0)]
-    users = [UserNode(id=0, x=10.0, y=10.0)]
-    g = build_graph(helpers, users, 80.0)
+    g = build_graph([(10.0, 10.0)], [(10.0, 10.0)], 80.0, 20.0, 4)
     assert topology_state(g).gains[0, 0] == 1.0
 
 
 def test_topology_state_gains_ordered_by_distance():
     side = 80.0
-    helpers = [
-        Helper(id=i, x=x, y=y, antennas=8, max_streams=4, tx_power=20.0)
-        for i, (x, y) in enumerate(default_helper_layout(side))
-    ]
-    users = [UserNode(id=0, x=43.0, y=41.0)]
-    g = build_graph(helpers, users, side)
+    helpers = default_helper_layout(side)
+    g = build_graph(helpers, [(43.0, 41.0)], side, 20.0, 8)
     gains = topology_state(g).gains[:, 0]
-    dists = [torus_distance((h.x, h.y), (43.0, 41.0), side) for h in helpers]
+    dists = [torus_distance(h, (43.0, 41.0), side) for h in helpers]
     assert list(np.argsort(gains)[::-1]) == list(np.argsort(dists))
 
 
 def test_waypoint_mobility_moves_and_stays_in_region():
     helpers, users = _nodes(n_users=6)
-    g = build_graph(helpers, users, 80.0)
+    g = build_graph(helpers, users, 80.0, 20.0, 8)
     mob = WaypointMobility(speed_m_per_slot=0.5, seed=1)
     p0 = mob.positions(g, 0)
     p9 = mob.positions(g, 9)

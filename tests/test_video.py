@@ -4,15 +4,12 @@ import pytest
 from streamsched.video import (
     DEFAULT_SEGMENTS,
     QualityRateProfile,
-    export_catalog_csv,
-    import_catalog_csv,
     synth_catalog,
 )
 
 
 def tiny_profile():
     return QualityRateProfile(
-        file_id="t",
         quality=((0.8, 0.95), (0.5, 0.7, 0.9)),
         size_bits=((100, 200), (50, 80, 130)),
         d_min=0.3,
@@ -102,27 +99,11 @@ def test_bad_generator_config():
 
 def test_profile_invariant_validation():
     with pytest.raises(ValueError):
-        QualityRateProfile("x", ((0.5, 0.4),), ((10, 20),), 0.3, 1.0)  # quality drops
+        QualityRateProfile(((0.5, 0.4),), ((10, 20),), 0.3, 1.0)  # quality drops
     with pytest.raises(ValueError):
-        QualityRateProfile("x", ((0.5, 0.6),), ((20, 20),), 0.3, 1.0)  # sizes not strict
+        QualityRateProfile(((0.5, 0.6),), ((20, 20),), 0.3, 1.0)  # sizes not strict
     with pytest.raises(ValueError):
-        QualityRateProfile("x", ((0.2,),), ((10,),), 0.3, 1.0)  # below d_min
+        QualityRateProfile(((0.2,),), ((10,),), 0.3, 1.0)  # below d_min
     with pytest.raises(ValueError):
-        QualityRateProfile("x", ((0.5,),), ((10,),), 1.0, 0.3)  # bounds inverted
+        QualityRateProfile(((0.5,),), ((10,),), 1.0, 0.3)  # bounds inverted
 
-
-def test_csv_roundtrip(tmp_path):
-    p = synth_catalog([(6, 3, 500.0), (4, 2, 1500.0)], seed=9)
-    path = tmp_path / "catalog.csv"
-    export_catalog_csv(p, str(path))
-    q = import_catalog_csv(str(path))
-    assert q.size_bits == p.size_bits
-    assert q.quality == p.quality
-    assert q.d_min == p.d_min and q.d_max == p.d_max
-
-
-def test_csv_import_rejects_gaps(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("fileId,chunkIndex,mode,qualityD,sizeBits\nf,0,1,0.5,100\nf,2,1,0.6,120\n")
-    with pytest.raises(ValueError):
-        import_catalog_csv(str(path))
