@@ -3,6 +3,9 @@
 The max-weight problem decouples per helper: because a scheduled user's rate
 depends only on the active-subset cardinality, the best subset of a given size
 S is the top-S users by weighted rate, and scanning S = 1..s_max is optimal.
+Only the top s_max users of each row can matter, so `greedy_from_rates`
+partitions each row for them and sorts just that small block, ranking them
+exactly as a stable sort of the whole row would.
 An exhaustive enumerator over all subsets serves as the testing oracle, and a
 queue-oblivious max-RSSI + round-robin scheme serves as the baseline.
 
@@ -46,17 +49,22 @@ class RoundRobinState:
         return users[cursor]
 
 
-def helper_rate_rows(h: int, state: TopologyState, graph: NetworkGraph, s_max: int) -> tuple[np.ndarray, np.ndarray]:
+def helper_rate_rows(
+    h: int, state: TopologyState, graph: NetworkGraph, s_max: int, sinr: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Eligible user ids of helper h and their rates for every subset size.
 
     Returns (user_ids ascending, rows) with rows[S-1, j] the bits/symbol of
     user_ids[j] when h serves S streams. A user is eligible when it has an
-    edge to h.
+    edge to h. sinr is h's row of `sinr_matrix(state, graph)` when the caller
+    already has it; otherwise it is computed here.
     """
     ids = np.flatnonzero(graph.adjacency[h])
     if not len(ids):
         return ids, np.empty((0, 0))
-    sinr_vec = sinr_matrix(state, graph)[h, ids]
+    if sinr is None:
+        sinr = sinr_matrix(state, graph)[h]
+    sinr_vec = sinr[ids]
     sizes = np.arange(1, min(s_max, graph.antennas) + 1)
     prefactor = (graph.antennas - sizes + 1) / sizes
     rows = np.log2(1.0 + prefactor[:, None] * sinr_vec[None, :])
@@ -66,23 +74,51 @@ def helper_rate_rows(h: int, state: TopologyState, graph: NetworkGraph, s_max: i
 def greedy_from_rates(weights: np.ndarray, rows: np.ndarray, ids: np.ndarray) -> tuple[tuple[int, ...], float]:
     """Sort-&-greedy subset selection from precomputed rate rows.
 
-    For each size S, candidates are the top-S users by weight * rate (stable
-    sort, so equal values break toward the lower id); the best size wins, ties
-    toward smaller S. The returned objective sums the chosen users' weighted
-    rates in ascending-id order, the same reduction the exhaustive oracle uses.
+    For each size S, candidates are the top-S users by weight * rate, equal
+    values breaking toward the lower id; the best size wins, ties toward
+    smaller S. Only the top s_eff = min(s_max, N) users of a row can matter,
+    so each row is partitioned for them (O(N)) and just those are ordered by
+    (-value, column); a row whose s_eff-th value ties one outside the
+    partition is stably sorted whole instead. This ranks exactly as a stable
+    sort of the full row, and the prefix sums run over the same values in the
+    same order. The returned objective sums the chosen users' weighted rates
+    in ascending-id order, the same reduction the exhaustive oracle uses.
     """
     if not len(ids):
         return (), 0.0
     s_eff = min(rows.shape[0], len(ids))
     weighted = weights * rows[:s_eff]
-    order = np.argsort(-weighted, axis=1, kind="stable")
-    ranked = np.take_along_axis(weighted, order, axis=1)
+    if s_eff < len(ids):
+        order = _top_k_order(weighted, s_eff)
+    else:
+        order = np.argsort(-weighted, axis=1, kind="stable")
     diag = np.arange(s_eff)
+    ranked = weighted[diag[:, None], order]
     objectives = np.cumsum(ranked, axis=1)[diag, diag]
     best_s = int(np.argmax(objectives))  # first max, so ties go to the smaller size
     chosen = np.sort(order[best_s, : best_s + 1])
     objective = _ordered_sum(weighted[best_s], chosen)
-    return tuple(int(ids[j]) for j in chosen), objective
+    return tuple(ids[chosen].tolist()), objective
+
+
+def _top_k_order(weighted: np.ndarray, k: int) -> np.ndarray:
+    """Columns of each row's k largest values, as a stable descending sort ranks them.
+
+    (rows, k) int array. Ties break toward the lower column, and -0.0 ranks
+    equal to 0.0, both as in the stable sort.
+    """
+    n = weighted.shape[1]
+    r = np.arange(len(weighted))[:, None]
+    top = np.argpartition(weighted, n - k, axis=1)[:, n - k :]
+    top_values = weighted[r, top]
+    order = top[r, np.lexsort((top, -top_values), axis=1)]
+    # top_values[:, 0] is the partition point, each row's k-th largest value;
+    # a row with more than k values at or above it has a tie the partition split.
+    at_or_above = weighted >= top_values[:, :1]
+    if np.count_nonzero(at_or_above) > order.size:
+        for row in np.flatnonzero(np.count_nonzero(at_or_above, axis=1) > k):
+            order[row] = np.argsort(-weighted[row], kind="stable")[:k]
+    return order
 
 
 def exhaustive_select(
@@ -136,9 +172,10 @@ class RateTable(NamedTuple):
 
 def helper_tables(state: TopologyState, graph: NetworkGraph, cfg: MimoConfig) -> list[RateTable]:
     """Every helper's table; valid for as long as the gains in state hold."""
+    sinr = sinr_matrix(state, graph)
     tables = []
     for h in range(len(graph.helpers)):
-        ids, rows = helper_rate_rows(h, state, graph, cfg.s_max)
+        ids, rows = helper_rate_rows(h, state, graph, cfg.s_max, sinr[h])
         bits = np.floor(rows * cfg.symbols_per_slot).astype(np.int64)
         tables.append(RateTable(ids, rows, bits))
     return tables

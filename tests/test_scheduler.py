@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from streamsched.scheduler import (
     build_round_robin,
     exhaustive_select,
     greedy_from_rates,
+    helper_rate_rows,
     helper_tables,
     max_rssi_associate,
     max_weight_slot,
@@ -44,6 +46,99 @@ def test_single_positive_weight_wins_alone():
 def test_greedy_equals_exhaustive():
     suite = validate.greedy_vs_exhaustive(instances=800, seed=21)
     assert suite.ok, suite.first_failure
+
+
+def _full_sort_greedy(weights, rows, ids):
+    """Reference kernel: a stable sort of every whole row, prefix sums over all N columns."""
+    if not len(ids):
+        return (), 0.0
+    s_eff = min(rows.shape[0], len(ids))
+    weighted = weights * rows[:s_eff]
+    order = np.argsort(-weighted, axis=1, kind="stable")
+    ranked = np.take_along_axis(weighted, order, axis=1)
+    diag = np.arange(s_eff)
+    best_s = int(np.argmax(np.cumsum(ranked, axis=1)[diag, diag]))
+    chosen = np.sort(order[best_s, : best_s + 1])
+    objective = 0.0
+    for j in chosen:
+        objective += float(weighted[best_s, j])
+    return tuple(int(ids[j]) for j in chosen), objective
+
+
+def _tied_instance(rng, n, s_max, kind):
+    """Rate rows of n users, few distinct SINRs, and weights of the given kind.
+
+    Few antennas make large subsets cost rate, so the best size often falls inside
+    a run of tied values.
+    """
+    gains = rng.choice(rng.uniform(0.01, 1.0, 3), (1, n))
+    graph, state = make_graph(gains, antennas=int(rng.choice([10, 12, 40])))
+    ids, rows = helper_rate_rows(0, state, graph, s_max)
+    if kind == "zero":
+        weights = np.where(rng.uniform(size=n) < 0.5, 0.0, -0.0)
+    elif kind == "mostly_zero":
+        weights = np.where(rng.uniform(size=n) < 0.8, 0.0, rng.choice([1.0, 2.0, 3.0], n))
+    else:  # "repeated": a handful of weights times a handful of SINRs
+        weights = rng.choice([0.0, 1.0, 4.0, 9.0], n) * 10.0 ** int(rng.integers(0, 7))
+    return weights, rows, ids * 3 + 1  # spaced ids: columns and user ids differ
+
+
+def test_greedy_ranks_as_a_full_stable_sort():
+    """The partitioned kernel picks the subset and objective bits of the stable-sort kernel."""
+    rng = np.random.default_rng(2024)
+    cases = [(n, s, kind) for n in range(1, 13) for s in (1, 4, 10) for kind in ("zero", "mostly_zero", "repeated")]
+    cases += [(int(rng.integers(1, 601)), int(rng.integers(1, 11)), kind)
+              for _ in range(300) for kind in ("zero", "mostly_zero", "repeated")]
+    for n, s_max, kind in cases:
+        weights, rows, ids = _tied_instance(rng, n, s_max, kind)
+        got = greedy_from_rates(weights, rows, ids)
+        want = _full_sort_greedy(weights, rows, ids)
+        assert got[0] == want[0], (n, s_max, kind)
+        assert got[1] == want[1], (n, s_max, kind)
+
+
+def test_greedy_breaks_ties_at_the_partition_toward_lower_ids():
+    m40 = np.log2(1.0 + np.outer([40.0, 19.5, 38.0 / 3], np.full(600, 0.5)))  # M=40, sizes 1-3
+    m10 = np.log2(1.0 + np.outer([10.0, 4.5, 8.0 / 3], np.ones(600)))  # M=10, sizes 1-3
+    ties = np.zeros(600)
+    ties[[3, 7, 500]] = [5.0, 2.0, 2.0]
+    inner = np.zeros(600)
+    inner[[105, 325, 508]] = [4.3, 4.3, 10.0]
+    cases = [
+        (np.ones(600), m40, (0, 1, 2)),  # every value ties: each row's top-k are its first k columns
+        (ties, m40[:2], (3, 7)),  # a clear winner, then columns 7 and 500 tie across the partition
+        (inner, m10, (105, 508)),  # the tie sits inside the partition, and the best size 2 splits it
+    ]
+    ids = np.arange(600)
+    for weights, rows, subset in cases:
+        got = greedy_from_rates(weights, rows, ids)
+        assert got == _full_sort_greedy(weights, rows, ids)
+        assert got[0] == subset
+
+
+def test_greedy_equals_exhaustive_on_tied_neighborhoods():
+    """Past validate's 12 users: 13-20 users, zero and repeated weights, repeated SINRs.
+
+    Tied users make several subsets optimal, and the float sums of two optimal
+    subsets may differ in the last bit by summation order, so the objectives
+    are compared exactly as rationals.
+    """
+    rng = np.random.default_rng(31)
+    for _ in range(150):
+        n, n_h = int(rng.integers(13, 21)), int(rng.integers(1, 3))
+        gains = rng.choice(rng.uniform(0.05, 1.0, 3), (n_h, n))
+        cfg = MimoConfig(antennas=int(rng.choice([10, 20, 40])), s_max=int(rng.integers(1, 6)), symbols_per_slot=1000)
+        graph, state = make_graph(gains, tx_powers=rng.uniform(1, 50, n_h), antennas=cfg.antennas)
+        weights = rng.choice([0.0, 0.0, 1.0, 2.5, 7.0], n) * 10.0 ** int(rng.integers(0, 7))
+        ids, rows, _ = helper_tables(state, graph, cfg)[0]
+        g_subset, _ = greedy_from_rates(weights[ids], rows, ids)
+        e_subset, _ = exhaustive_select(0, weights, state, graph, cfg)
+
+        def exact(subset):
+            size_row = rows[len(subset) - 1]
+            return sum(Fraction(float(weights[u] * size_row[ids.searchsorted(u)])) for u in subset)
+
+        assert exact(g_subset) == exact(e_subset)
 
 
 def test_weight_scaling_leaves_subset_unchanged():
