@@ -78,20 +78,19 @@ def greedy_from_rates(weights: np.ndarray, rows: np.ndarray, ids: np.ndarray) ->
     values breaking toward the lower id; the best size wins, ties toward
     smaller S. Only the top s_eff = min(s_max, N) users of a row can matter,
     so each row is partitioned for them (O(N)) and just those are ordered by
-    (-value, column); a row whose s_eff-th value ties one outside the
-    partition is stably sorted whole instead. This ranks exactly as a stable
-    sort of the full row, and the prefix sums run over the same values in the
-    same order. The returned objective sums the chosen users' weighted rates
-    in ascending-id order, the same reduction the exhaustive oracle uses.
+    (-value, column); when s_eff == N the partition keeps every column. A row
+    whose s_eff-th value ties one outside the partition, as when fewer than
+    s_eff users have nonzero weight, is stably sorted whole instead
+    (O(N log N) for that row). This ranks exactly as a stable sort of the
+    full row, and the prefix sums run over the same values in the same order.
+    The returned objective sums the chosen users' weighted rates in
+    ascending-id order, the same reduction the exhaustive oracle uses.
     """
     if not len(ids):
         return (), 0.0
     s_eff = min(rows.shape[0], len(ids))
     weighted = weights * rows[:s_eff]
-    if s_eff < len(ids):
-        order = _top_k_order(weighted, s_eff)
-    else:
-        order = np.argsort(-weighted, axis=1, kind="stable")
+    order = _top_k_order(weighted, s_eff)
     diag = np.arange(s_eff)
     ranked = weighted[diag[:, None], order]
     objectives = np.cumsum(ranked, axis=1)[diag, diag]
@@ -114,6 +113,8 @@ def _top_k_order(weighted: np.ndarray, k: int) -> np.ndarray:
     order = top[r, np.lexsort((top, -top_values), axis=1)]
     # top_values[:, 0] is the partition point, each row's k-th largest value;
     # a row with more than k values at or above it has a tie the partition split.
+    # Few calls have one, and one flat count rules them out ~10x cheaper than
+    # the per-row count.
     at_or_above = weighted >= top_values[:, :1]
     if np.count_nonzero(at_or_above) > order.size:
         for row in np.flatnonzero(np.count_nonzero(at_or_above, axis=1) > k):
