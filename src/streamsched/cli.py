@@ -94,7 +94,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     results = engine.sweep(cfg, args.param, values)
     agg_path = os.path.join(args.out, "aggregate.csv")
     with open(agg_path, "w", newline="") as fh:
-        fh.write(f"# config={config_hash(cfg)} seed={cfg.seed}\n")
+        fh.write(engine.provenance_line(config_hash(cfg), cfg.seed))
         writer = csv.writer(fh)
         writer.writerow([args.param, "utility", "meanQuality", "meanDelay", "meanBufferingPercent", "drainComplete"])
         for value, result in results:

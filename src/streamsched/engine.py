@@ -10,11 +10,13 @@ every user requests its k-th chunk, catalog index (starts[u] + k) mod the
 catalog length, where starts holds each user's random first chunk. That one
 session clock is all the session state there is.
 
-Per transmission slot t the order is: (video-slot boundary: step playback),
-sample queue averages, place chunk requests and update the virtual queues
-(chunk-boundary slots only), schedule, drain delivered bits. A chunk completed
-during slot t is credited at once to video slot t // n + 1, the video slot
-containing t, i.e. it becomes playable at the next boundary.
+`run` is the slot loop over the phase methods of one `RunState`, in this
+order per transmission slot t: `playback(i)` on video-slot boundaries
+t = i * n > 0, `sample()`, `request(k)` on chunk slots k = t // n below
+session_chunks, `refresh_topology(t)`, `schedule(t)`, `drain(delivered, k)`.
+A chunk completed during slot t is credited at once to video slot t // n + 1,
+the video slot containing t, i.e. it becomes playable at the next boundary.
+After the loop, playback plays out through the same `playback` phase.
 """
 from __future__ import annotations
 
@@ -79,10 +81,6 @@ class SimResult:
     slots_run: int
     traces: dict | None = None
 
-    @property
-    def unstable(self) -> bool:
-        return not self.drain_complete
-
 
 def build_network(cfg: SimConfig, seed_users: np.random.SeedSequence) -> topo.NetworkGraph:
     """Helpers from the configured layout plus Poisson-placed users."""
@@ -125,10 +123,157 @@ def _parse_layout(text: str, key: str, side: float) -> list[tuple[float, float]]
     return coords
 
 
-def _mobility_model(cfg: SimConfig, seed: int):
-    if cfg.topology.mobility == "static":
-        return None
-    return topo.WaypointMobility(cfg.topology.waypoint_speed, seed=seed)
+class RunState:
+    """Everything a run carries from slot to slot, per-user state indexed by
+    user id; each method is one phase of the slot loop `run`."""
+
+    def __init__(self, cfg: SimConfig, collect_traces: bool = False) -> None:
+        self.cfg = cfg
+        seed_users, seed_catalog, seed_starts = np.random.SeedSequence(cfg.seed).spawn(3)
+        self.graph = graph = build_network(cfg, seed_users)
+        self.n_users = n_users = len(graph.users)
+        v = cfg.video
+        self.profile = synth_catalog(v.segments, seed_catalog, d_min=v.d_min, d_max=v.d_max, sigma=v.sigma,
+                                     ladder_ratio=v.ladder_ratio, t_gop_seconds=cfg.t_gop_seconds)
+        self.starts = np.random.default_rng(seed_starts).integers(0, self.profile.num_chunks, size=n_users).tolist()
+        self.queues = [cl.RequestQueueState() for _ in range(n_users)]
+        p = cfg.playback
+        self.players = [pb.PlaybackState(total_chunks=cfg.session_chunks, window_size=p.window_slots, rho=p.rho)
+                        for _ in range(n_users)]
+        self.requested_quality: list[list[float]] = [[] for _ in range(n_users)]
+        self.gammas = np.zeros(n_users)
+        self.last_mode = np.zeros(n_users, dtype=int)
+        self.last_bits = np.zeros(n_users, dtype=np.int64)
+        self.mobility = (None if cfg.topology.mobility == "static"
+                         else topo.WaypointMobility(cfg.topology.waypoint_speed, seed=cfg.seed))
+        state = topo.topology_state(graph, 0, self.mobility)
+        self.tables = sched.helper_tables(state, graph, cfg.mimo)
+        if cfg.policy == "baseline":
+            self.rr = sched.build_round_robin(sched.max_rssi_associate(state, graph), graph)
+        self.weight_history: deque[np.ndarray] = deque(maxlen=cfg.scheduler_staleness + 1)
+        self.sum_q = np.zeros(n_users)
+        self.sum_theta = np.zeros(n_users)
+        self.traces = {"schedule": [], "client": [], "playback": []} if collect_traces else None
+
+    def playback(self, i: int) -> None:
+        """Step every unfinished player over video slot i, whose completions are already credited."""
+        for ps in self.players:
+            if ps.phase != pb.FINISHED:
+                pb.playback_step(ps, i)
+
+    def trace_playback(self, i: int) -> None:
+        """One playback trace row per player that `playback(i)` stepped."""
+        rows = self.traces["playback"]
+        for u, ps in enumerate(self.players):
+            if ps.last_slot == i:
+                # The delay window still holds every arrival credited to slot i.
+                a_i = sum(a == i for a, _ in ps.recent)
+                rows.append((i, u, ps.psi, ps.phase, ps.e_last, a_i))
+
+    def sample(self) -> None:
+        """Add this slot's backlogs and virtual queues to the running sums."""
+        self.sum_q += [qs.q for qs in self.queues]
+        self.sum_theta += [qs.theta for qs in self.queues]
+
+    def request(self, k: int) -> None:
+        """Chunk slot k: every user picks the quality of its k-th chunk, enqueues it and advances theta."""
+        utility, video = self.cfg.utility, self.cfg.video
+        profile, starts, requested_quality = self.profile, self.starts, self.requested_quality
+        gammas, last_mode, last_bits = self.gammas, self.last_mode, self.last_bits
+        for u, qs in enumerate(self.queues):
+            gamma = cl.optimize_gamma(qs.theta, utility, video.d_min, video.d_max)
+            gammas[u] = gamma
+            i = (starts[u] + k) % profile.num_chunks
+            m = cl.request_chunk(qs, profile, i)
+            quality = profile.quality[i][m - 1]
+            requested_quality[u].append(quality)
+            last_mode[u], last_bits[u] = m, profile.size_bits[i][m - 1]
+            cl.update_virtual_queue(qs, gamma, quality)
+
+    def refresh_topology(self, t: int) -> None:
+        """Under mobility, slot t's gains and every helper's rate table."""
+        if self.mobility is not None:
+            state = topo.topology_state(self.graph, t, self.mobility)
+            self.tables = sched.helper_tables(state, self.graph, self.cfg.mimo)
+
+    def schedule(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every helper's subset for slot t; returns (per-edge bits, bits delivered per user)."""
+        if self.cfg.policy == "dpp":
+            # Max-weight reads the backlogs of scheduler_staleness slots ago (slot 0's early on).
+            self.weight_history.append(np.fromiter((qs.q for qs in self.queues), dtype=float, count=self.n_users))
+            per_edge, subsets = sched.max_weight_slot(self.tables, self.weight_history[0])
+        else:
+            per_edge, subsets = sched.round_robin_slot(self.rr, self.tables, self.n_users)
+        delivered = sched.aggregate_per_user(per_edge, self.cfg.receiver)
+        if self.traces is not None:
+            rows = self.traces["schedule"]
+            for h, subset in enumerate(subsets):
+                if subset:
+                    rows.append((t, h, len(subset), subset, int(per_edge[h].sum())))
+        return per_edge, delivered
+
+    def drain(self, delivered: np.ndarray, k: int) -> None:
+        """Drain each served user's bits; completed chunks are credited to video slot k + 1."""
+        queues, players = self.queues, self.players
+        for u in np.flatnonzero(delivered):
+            completed = cl.drain_bits(queues[u], int(delivered[u]))
+            if completed:
+                pb.record_arrivals(players[u], completed, k + 1)
+
+    def trace_requests(self, t: int, delivered: np.ndarray) -> None:
+        """One client trace row per user for chunk slot t, after its drain."""
+        rows = self.traces["client"]
+        gammas, last_mode, last_bits = self.gammas, self.last_mode, self.last_bits
+        for u, qs in enumerate(self.queues):
+            rows.append((t, u, qs.q, qs.theta, gammas[u], int(last_mode[u]), int(last_bits[u]), int(delivered[u])))
+
+    def check(self, t: int, per_edge: np.ndarray, delivered: np.ndarray) -> None:
+        """Raise unless slot t's bits match the receiver model and every queue and player is consistent."""
+        receiver = self.cfg.receiver
+        advanced_view = per_edge.sum(axis=0)
+        receiver_view = advanced_view if receiver == "advanced" else per_edge.max(axis=0)
+        if not np.array_equal(delivered, receiver_view):
+            raise RuntimeError(f"slot {t}: delivered bits are not the {receiver} receiver's view")
+        if (delivered > advanced_view).any():
+            raise RuntimeError(f"slot {t}: delivered bits exceed the advanced receiver's view")
+        for u, (qs, ps) in enumerate(zip(self.queues, self.players)):
+            broken = qs.broken_identity()
+            if broken is not None:
+                raise RuntimeError(f"slot {t}: user {u} {broken}")
+            if ps.consumed_count > len(ps.delays):
+                raise RuntimeError(f"slot {t}: user {u} played a chunk that never arrived")
+
+    def drained(self) -> bool:
+        return all(qs.q == 0 for qs in self.queues)
+
+    def finished(self) -> bool:
+        return all(ps.phase == pb.FINISHED for ps in self.players)
+
+    def result(self, slots_run: int, drain_complete: bool) -> SimResult:
+        """Per-user QoE and the run-level summary over slots_run slots."""
+        cfg, sum_q, sum_theta = self.cfg, self.sum_q, self.sum_theta
+        users = []
+        d_bar = np.zeros(self.n_users)
+        for u, (qs, ps, requested_quality) in enumerate(zip(self.queues, self.players, self.requested_quality)):
+            delivered_ids = sorted(ps.delays)
+            qualities = [requested_quality[k] for k in delivered_ids]
+            requested = len(requested_quality)
+            d_bar[u] = sum(qualities) / requested if requested else 0.0
+            # UserResult extends the playback QoE metrics with the queue side.
+            users.append(UserResult(
+                user_id=u, requested_chunks=requested, delivered_chunk_ids=tuple(delivered_ids),
+                mean_quality_over_requested=float(d_bar[u]), mean_q_bits=float(sum_q[u] / slots_run),
+                mean_theta=float(sum_theta[u] / slots_run), playback_finished=ps.phase == pb.FINISHED,
+                queue_drained=qs.q == 0, **vars(pb.qoe_metrics(ps, qualities)),
+            ))
+        utility_defined = bool(self.n_users and (d_bar > 0).all())
+        utility = float(sum(cl.utility(cfg.utility.alpha, x) for x in d_bar)) if utility_defined else float("nan")
+        return SimResult(
+            config_hash=config_hash(cfg), seed=cfg.seed, policy=cfg.policy, receiver=cfg.receiver,
+            users=tuple(users), utility=utility, utility_defined=utility_defined,
+            mean_q_total=float(sum_q.sum() / slots_run), mean_theta_total=float(sum_theta.sum() / slots_run),
+            drain_complete=drain_complete, all_finished=self.finished(), slots_run=slots_run, traces=self.traces,
+        )
 
 
 def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = False) -> SimResult:
@@ -137,202 +282,46 @@ def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = F
     check_invariants asserts the queue/cursor accounting identities and the
     playback consumption bound on every slot (slower; used by the fuzz tests).
     """
-    root = np.random.SeedSequence(cfg.seed)
-    seed_users, seed_catalog, seed_starts = root.spawn(3)
-
-    graph = build_network(cfg, seed_users)
-    n_users = len(graph.users)
-    profile = synth_catalog(
-        cfg.video.segments,
-        seed_catalog,
-        d_min=cfg.video.d_min,
-        d_max=cfg.video.d_max,
-        sigma=cfg.video.sigma,
-        ladder_ratio=cfg.video.ladder_ratio,
-        t_gop_seconds=cfg.t_gop_seconds,
-    )
-    start_rng = np.random.default_rng(seed_starts)
-    starts = start_rng.integers(0, profile.num_chunks, size=n_users).tolist()
-
-    queues = [cl.RequestQueueState() for _ in range(n_users)]
-    players = [
-        pb.PlaybackState(total_chunks=cfg.session_chunks, window_size=cfg.playback.window_slots, rho=cfg.playback.rho)
-        for _ in range(n_users)
-    ]
-    requested_quality: list[list[float]] = [[] for _ in range(n_users)]
-    gammas = np.zeros(n_users)
-    last_mode = np.zeros(n_users, dtype=int)
-    last_bits = np.zeros(n_users, dtype=np.int64)
-
-    mobility = _mobility_model(cfg, cfg.seed)
-    static = mobility is None
-    state = topo.topology_state(graph, 0, mobility)
-    tables = sched.helper_tables(state, graph, cfg.mimo)
-    if cfg.policy == "baseline":
-        rr = sched.build_round_robin(sched.max_rssi_associate(state, graph), graph)
-
-    n = cfg.n
-    session_slots = cfg.session_chunks * n
+    st = RunState(cfg, collect_traces)
+    n, chunks = cfg.n, cfg.session_chunks
+    session_slots = chunks * n
     max_slots = session_slots + cfg.effective_drain_limit
-    weight_history: deque[np.ndarray] = deque(maxlen=cfg.scheduler_staleness + 1)
-
-    sum_q = np.zeros(n_users)
-    sum_theta = np.zeros(n_users)
-
-    traces: dict[str, list] | None = None
-    if collect_traces:
-        traces = {"schedule": [], "client": [], "playback": []}
-
     t = 0
     while t < max_slots:
-        # Video-slot boundary: step playback over the finished video slot,
-        # whose completions are already credited.
-        if t % n == 0 and t > 0:
-            i = t // n
-            for u in range(n_users):
-                ps = players[u]
-                if ps.phase == pb.FINISHED:
-                    continue
-                pb.playback_step(ps, i)
-                if traces is not None:
-                    # The delay window still holds every arrival credited to slot i.
-                    a_i = sum(a == i for a, _ in ps.recent)
-                    traces["playback"].append((i, u, ps.psi, ps.phase, ps.e_last, a_i))
-
-        sum_q += [qs.q for qs in queues]
-        sum_theta += [qs.theta for qs in queues]
-
-        # Chunk-boundary slots: every user picks the quality of its k-th chunk,
-        # enqueues the request and advances theta.
         k = t // n
-        requesting = t % n == 0 and k < cfg.session_chunks
+        chunk_slot = t % n == 0
+        if chunk_slot and t > 0:
+            st.playback(k)
+            if st.traces is not None:
+                st.trace_playback(k)
+        st.sample()
+        requesting = chunk_slot and k < chunks
         if requesting:
-            for u in range(n_users):
-                qs = queues[u]
-                gamma = cl.optimize_gamma(qs.theta, cfg.utility, cfg.video.d_min, cfg.video.d_max)
-                gammas[u] = gamma
-                i = (starts[u] + k) % profile.num_chunks
-                m = cl.request_chunk(qs, profile, i)
-                quality = profile.quality[i][m - 1]
-                requested_quality[u].append(quality)
-                last_mode[u], last_bits[u] = m, profile.size_bits[i][m - 1]
-                cl.update_virtual_queue(qs, gamma, quality)
-
-        if not static:
-            state = topo.topology_state(graph, t, mobility)
-            tables = sched.helper_tables(state, graph, cfg.mimo)
-
-        if cfg.policy == "dpp":
-            # Max-weight reads the backlogs of scheduler_staleness slots ago (slot 0's early on).
-            weight_history.append(np.fromiter((qs.q for qs in queues), dtype=float, count=n_users))
-            per_edge, subsets = sched.max_weight_slot(tables, weight_history[0])
-        else:
-            per_edge, subsets = sched.round_robin_slot(rr, tables, n_users)
-        delivered = sched.aggregate_per_user(per_edge, cfg.receiver)
-        if traces is not None:
-            for h, subset in enumerate(subsets):
-                if subset:
-                    traces["schedule"].append((t, h, len(subset), subset, int(per_edge[h].sum())))
-
-        for u in np.flatnonzero(delivered):
-            completed = cl.drain_bits(queues[u], int(delivered[u]))
-            if completed:
-                pb.record_arrivals(players[u], completed, k + 1)
-
+            st.request(k)
+        st.refresh_topology(t)
+        per_edge, delivered = st.schedule(t)
+        st.drain(delivered, k)
         if check_invariants:
-            advanced_view = per_edge.sum(axis=0)
-            receiver_view = advanced_view if cfg.receiver == "advanced" else per_edge.max(axis=0)
-            if not np.array_equal(delivered, receiver_view):
-                raise RuntimeError(f"slot {t}: delivered bits are not the {cfg.receiver} receiver's view")
-            if (delivered > advanced_view).any():
-                raise RuntimeError(f"slot {t}: delivered bits exceed the advanced receiver's view")
-            for u in range(n_users):
-                qs = queues[u]
-                broken = qs.broken_identity()
-                if broken is not None:
-                    raise RuntimeError(f"slot {t}: user {u} {broken}")
-                if players[u].consumed_count > len(players[u].delays):
-                    raise RuntimeError(f"slot {t}: user {u} played a chunk that never arrived")
-
-        if traces is not None and requesting:
-            for u in range(n_users):
-                qs = queues[u]
-                traces["client"].append(
-                    (t, u, qs.q, qs.theta, gammas[u], int(last_mode[u]), int(last_bits[u]), int(delivered[u]))
-                )
-
+            st.check(t, per_edge, delivered)
+        if requesting and st.traces is not None:
+            st.trace_requests(t, delivered)
         t += 1
         # Every request is placed by session_slots; the run ends once all queues drain.
-        if t >= session_slots and all(qs.q == 0 for qs in queues):
+        if t >= session_slots and st.drained():
             break
 
-    drain_complete = all(qs.q == 0 for qs in queues)
-    slots_run = t
-
-    # Playback epilogue: step the final partial video slot (its completions
-    # are already credited; late chunks still count toward delay metrics); if
-    # every queue drained, the remaining playout is deterministic, so step
-    # video slots through to the finish without the scheduler.
-    for u in range(n_users):
-        ps = players[u]
-        if ps.phase == pb.FINISHED:
-            continue
-        i = ps.last_slot + 1
-        pb.playback_step(ps, i)
-        if not drain_complete:
-            continue
-        cap = i + ps.total_chunks + ps.window_size + 4
-        while ps.phase != pb.FINISHED and i < cap:
+    # Every unfinished player last stepped at video slot (t - 1) // n. Step the
+    # final partial video slot (late chunks still count toward delay metrics);
+    # if every queue drained, the playout left is deterministic, so play it out.
+    drain_complete = st.drained()
+    i = (t - 1) // n + 1
+    st.playback(i)
+    if drain_complete:
+        cap = i + chunks + cfg.playback.window_slots + 4
+        while i < cap and not st.finished():
             i += 1
-            pb.playback_step(ps, i)
-
-    users = []
-    d_bar = np.zeros(n_users)
-    for u in range(n_users):
-        ps = players[u]
-        delivered_ids = sorted(ps.delays)
-        qualities = [requested_quality[u][k] for k in delivered_ids]
-        qoe = pb.qoe_metrics(ps, qualities)
-        requested = len(requested_quality[u])
-        d_bar[u] = sum(qualities) / requested if requested else 0.0
-        users.append(
-            UserResult(
-                user_id=u,
-                requested_chunks=requested,
-                delivered_chunks=qoe.delivered_chunks,
-                delivered_chunk_ids=tuple(delivered_ids),
-                average_quality=qoe.average_quality,
-                average_delay=qoe.average_delay,
-                buffering_percent=qoe.buffering_percent,
-                stall_count=qoe.stall_count,
-                prebuffer_slots=qoe.prebuffer_slots,
-                t_start=qoe.t_start,
-                mean_quality_over_requested=float(d_bar[u]),
-                mean_q_bits=float(sum_q[u] / slots_run),
-                mean_theta=float(sum_theta[u] / slots_run),
-                playback_finished=ps.phase == pb.FINISHED,
-                queue_drained=queues[u].q == 0,
-            )
-        )
-
-    utility_defined = bool(n_users and (d_bar > 0).all())
-    utility = float(sum(cl.utility(cfg.utility.alpha, x) for x in d_bar)) if utility_defined else float("nan")
-
-    return SimResult(
-        config_hash=config_hash(cfg),
-        seed=cfg.seed,
-        policy=cfg.policy,
-        receiver=cfg.receiver,
-        users=tuple(users),
-        utility=utility,
-        utility_defined=utility_defined,
-        mean_q_total=float(sum_q.sum() / slots_run),
-        mean_theta_total=float(sum_theta.sum() / slots_run),
-        drain_complete=drain_complete,
-        all_finished=all(p.phase == pb.FINISHED for p in players),
-        slots_run=slots_run,
-        traces=traces,
-    )
+            st.playback(i)
+    return st.result(t, drain_complete)
 
 
 def sweep(cfg: SimConfig, parameter: str, values: Sequence) -> list[tuple[object, SimResult]]:
@@ -349,14 +338,15 @@ def sweep(cfg: SimConfig, parameter: str, values: Sequence) -> list[tuple[object
 # Result files
 # ---------------------------------------------------------------------------
 
-def _provenance_line(result: SimResult) -> list[str]:
-    return [f"# config={result.config_hash} seed={result.seed}"]
+def provenance_line(digest: str, seed: int) -> str:
+    """The first line of every result file: the config hash and the seed."""
+    return f"# config={digest} seed={seed}\n"
 
 
 def write_summary_csv(result: SimResult, path: str) -> None:
     """Per-user metrics, one row per user, with a provenance comment line."""
     with open(path, "w", newline="") as fh:
-        fh.write(_provenance_line(result)[0] + "\n")
+        fh.write(provenance_line(result.config_hash, result.seed))
         writer = csv.writer(fh)
         writer.writerow(
             ["userId", "requestedChunks", "deliveredChunks", "avgQuality", "avgDelaySlots",
@@ -376,7 +366,7 @@ def write_run_csv(result: SimResult, cfg: SimConfig, path: str) -> None:
     """Run-level utility, mean backlogs, and the key config knobs."""
     flat = flatten_config(cfg)
     with open(path, "w", newline="") as fh:
-        fh.write(_provenance_line(result)[0] + "\n")
+        fh.write(provenance_line(result.config_hash, result.seed))
         writer = csv.writer(fh)
         writer.writerow(
             ["utility", "utilityDefined", "meanQTotal", "meanThetaTotal", "drainComplete", "allFinished",
@@ -404,7 +394,7 @@ def write_trace_csvs(result: SimResult, outdir: str) -> list[str]:
     for name in ("schedule", "client", "playback"):
         path = os.path.join(outdir, f"trace_{name}.csv")
         with open(path, "w", newline="") as fh:
-            fh.write(_provenance_line(result)[0] + "\n")
+            fh.write(provenance_line(result.config_hash, result.seed))
             writer = csv.writer(fh)
             writer.writerow(headers[name])
             for row in result.traces[name]:

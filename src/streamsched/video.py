@@ -67,11 +67,6 @@ class QualityRateProfile:
     def num_chunks(self) -> int:
         return len(self.quality)
 
-    def modes_per_chunk(self, i: int) -> int:
-        if not 0 <= i < self.num_chunks:
-            raise ValueError(f"chunk index {i} out of range [0, {self.num_chunks})")
-        return len(self.quality[i])
-
 
 def synth_catalog(
     segments: Sequence[tuple[int, int, float]] = DEFAULT_SEGMENTS,

@@ -45,7 +45,7 @@ def test_criterion_2_mode_selection_matches_scan_and_gamma_matches_clamp():
         i = int(rng.integers(0, catalog.num_chunks))
         scores = {
             m: qs.q * catalog.size_bits[i][m - 1] - qs.theta * catalog.quality[i][m - 1]
-            for m in range(1, catalog.modes_per_chunk(i) + 1)
+            for m in range(1, len(catalog.quality[i]) + 1)
         }
         expected = min(scores, key=lambda m: (scores[m], m))
         assert select_mode(qs, catalog, i) == expected, f"case {case}"

@@ -57,7 +57,7 @@ def test_select_mode_matches_independent_scan():
         i = int(rng.integers(0, catalog.num_chunks))
         scores = {
             m: qs.q * catalog.size_bits[i][m - 1] - qs.theta * catalog.quality[i][m - 1]
-            for m in range(1, catalog.modes_per_chunk(i) + 1)
+            for m in range(1, len(catalog.quality[i]) + 1)
         }
         expected = min(scores, key=lambda m: (scores[m], m))
         assert select_mode(qs, catalog, i) == expected
@@ -239,6 +239,6 @@ def test_dpp_mode_term_is_minimized_per_slot():
         i = int(rng.integers(0, catalog.num_chunks))
         m = select_mode(qs, catalog, i)
         chosen = qs.q * catalog.size_bits[i][m - 1] - qs.theta * catalog.quality[i][m - 1]
-        for other in range(1, catalog.modes_per_chunk(i) + 1):
+        for other in range(1, len(catalog.quality[i]) + 1):
             score = qs.q * catalog.size_bits[i][other - 1] - qs.theta * catalog.quality[i][other - 1]
             assert chosen <= score

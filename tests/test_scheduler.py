@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +44,22 @@ def test_single_positive_weight_wins_alone():
 
 def test_greedy_equals_exhaustive():
     suite = validate.greedy_vs_exhaustive(instances=800, seed=21)
+    assert suite.ok, suite.first_failure
+
+
+def test_greedy_vs_exhaustive_passes_optimal_subsets_one_ulp_apart(monkeypatch):
+    # Users 2 and 5 tie, so (0, 2, 3) and (0, 3, 5) are both optimal; summed in
+    # ascending-id order their float objectives differ by 1 ulp (found by a
+    # seeded search over small tied instances).
+    graph, state = make_graph([[0.7, 0.3, 0.7, 0.3, 0.3, 0.7]], antennas=20)
+    weights = np.array([7e6, 0.0, 1e6, 2.5e6, 0.0, 1e6])
+    cfg = MimoConfig(antennas=20, s_max=3, symbols_per_slot=1000)
+    table = helper_tables(state, graph, cfg)[0]
+    g_subset, g_obj = greedy_from_rates(weights[table.ids], table.rows, table.ids)
+    e_subset, e_obj = exhaustive_select(0, weights, state, graph, cfg)
+    assert g_subset != e_subset and g_obj != e_obj
+    monkeypatch.setattr(validate, "random_instance", lambda rng: (graph, state, weights, cfg))
+    suite = validate.greedy_vs_exhaustive(instances=1)
     assert suite.ok, suite.first_failure
 
 
@@ -130,15 +145,10 @@ def test_greedy_equals_exhaustive_on_tied_neighborhoods():
         cfg = MimoConfig(antennas=int(rng.choice([10, 20, 40])), s_max=int(rng.integers(1, 6)), symbols_per_slot=1000)
         graph, state = make_graph(gains, tx_powers=rng.uniform(1, 50, n_h), antennas=cfg.antennas)
         weights = rng.choice([0.0, 0.0, 1.0, 2.5, 7.0], n) * 10.0 ** int(rng.integers(0, 7))
-        ids, rows, _ = helper_tables(state, graph, cfg)[0]
-        g_subset, _ = greedy_from_rates(weights[ids], rows, ids)
+        table = helper_tables(state, graph, cfg)[0]
+        g_subset, _ = greedy_from_rates(weights[table.ids], table.rows, table.ids)
         e_subset, _ = exhaustive_select(0, weights, state, graph, cfg)
-
-        def exact(subset):
-            size_row = rows[len(subset) - 1]
-            return sum(Fraction(float(weights[u] * size_row[ids.searchsorted(u)])) for u in subset)
-
-        assert exact(g_subset) == exact(e_subset)
+        assert validate.exact_objective(g_subset, weights, table) == validate.exact_objective(e_subset, weights, table)
 
 
 def test_weight_scaling_leaves_subset_unchanged():

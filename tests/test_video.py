@@ -27,7 +27,7 @@ def test_chunk_quality_lookup():
 def test_top_mode_is_max_quality():
     p = tiny_profile()
     for i in range(p.num_chunks):
-        top = p.quality[i][p.modes_per_chunk(i) - 1]
+        top = p.quality[i][len(p.quality[i]) - 1]
         assert top == max(p.quality[i])
 
 
@@ -36,7 +36,7 @@ def test_chunk_size_lookup_and_monotonicity():
     p = tiny_profile()
     assert p.size_bits[1][2 - 1] == 80
     for i in range(p.num_chunks):
-        sizes = [p.size_bits[i][m - 1] for m in range(1, p.modes_per_chunk(i) + 1)]
+        sizes = [p.size_bits[i][m - 1] for m in range(1, len(p.quality[i]) + 1)]
         assert sizes[0] == min(sizes)
         assert all(a < b for a, b in zip(sizes, sizes[1:]))
 
@@ -46,7 +46,7 @@ def test_default_catalog_structure():
     assert p.num_chunks == 800
     for i in range(800):
         expected_modes = (8, 4, 4, 8)[i // 200]
-        assert p.modes_per_chunk(i) == expected_modes
+        assert len(p.quality[i]) == expected_modes
 
 
 def test_default_catalog_mode_count_in_second_segment():
@@ -87,7 +87,7 @@ def test_catalog_invariants_fuzz():
 
 def test_one_mode_catalog():
     p = synth_catalog([(5, 1, 100.0)], seed=0)
-    assert all(p.modes_per_chunk(i) == 1 for i in range(5))
+    assert all(len(p.quality[i]) == 1 for i in range(5))
 
 
 def test_bad_generator_config():
