@@ -9,14 +9,14 @@ quality range.
 Users request in lockstep: at every chunk slot the engine asks each user for
 its next chunk, so a request takes the catalog index and keeps no session
 state here. Chunks are requested in session order and consumed head-of-line,
-so the outstanding chunks are always the contiguous run head .. len(ends) - 1,
-and one cursor over the cumulative request sizes (ends) describes them: chunk
-k is complete once the consumed bits reach ends[k].
+so the queue keeps only the outstanding run head .. requested_chunks - 1: a
+chunk completes once the consumed bits reach its cumulative end, and leaves
+as a count (head) and a running quality sum, so the state stays bounded.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -30,25 +30,29 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 class RequestQueueState:
     """Request-queue backlog, virtual queue, and the head-of-line chunk cursor.
 
-    ends[k] is the cumulative requested bits at the end of session chunk k, and
-    head is the first chunk not yet fully consumed. Cumulative counters make
+    chunks holds (cumulative requested bits at its end, quality) per outstanding
+    chunk; head is the first chunk not fully consumed, and delivered_quality
+    sums the qualities of the chunks before head in order. Cumulative counters make
     the conservation identities checkable at any slot (see broken_identity).
     """
 
     q: float = 0.0
     theta: float = 0.0
-    ends: list[int] = field(default_factory=list)
+    chunks: deque[tuple[int, float]] = field(default_factory=deque)
     head: int = 0
+    requested_chunks: int = 0
     requested_bits: int = 0
     consumed_bits: int = 0
     discarded_bits: int = 0
     delivered_bits: int = 0
+    delivered_quality: float = 0.0
 
     def broken_identity(self) -> str | None:
         """The first conservation identity that does not hold, or None if all do."""
-        if self.requested_bits != (self.ends[-1] if self.ends else 0):
+        if self.requested_bits != (self.chunks[-1][0] if self.chunks else self.consumed_bits):
             return "requested != last chunk end"
-        if self.head != bisect_right(self.ends, self.consumed_bits):
+        if (self.head + len(self.chunks) != self.requested_chunks
+                or (self.chunks and self.chunks[0][0] <= self.consumed_bits)):
             return "head != first chunk not fully consumed"
         if self.requested_bits != self.consumed_bits + self.q:
             return "requested != consumed + residual"
@@ -102,15 +106,16 @@ def request_chunk(qs: RequestQueueState, profile: QualityRateProfile, i: int) ->
     bits = profile.size_bits[i][m - 1]
     qs.q += bits
     qs.requested_bits += bits
-    qs.ends.append(qs.requested_bits)
+    qs.requested_chunks += 1
+    qs.chunks.append((qs.requested_bits, profile.quality[i][m - 1]))
     return m
 
 
 def drain_bits(qs: RequestQueueState, delivered_bits: int) -> list[int]:
     """Consume delivered bits head-of-line; returns the chunk ids completed now.
 
-    Bits beyond the outstanding backlog are discarded (the queue never goes
-    negative), and the discard is accounted.
+    Completed chunks leave, their qualities added to delivered_quality in order.
+    Bits beyond the backlog are discarded (Q never goes negative) and accounted.
     """
     if delivered_bits < 0:
         raise ValueError("delivered bits must be nonnegative")
@@ -119,8 +124,10 @@ def drain_bits(qs: RequestQueueState, delivered_bits: int) -> list[int]:
     qs.q -= eat
     qs.consumed_bits += eat
     qs.discarded_bits += delivered_bits - eat
-    first = qs.head
-    qs.head = bisect_right(qs.ends, qs.consumed_bits, first)
+    first, chunks = qs.head, qs.chunks
+    while chunks and chunks[0][0] <= qs.consumed_bits:
+        qs.delivered_quality += chunks.popleft()[1]
+        qs.head += 1
     return list(range(first, qs.head))
 
 

@@ -140,7 +140,6 @@ class RunState:
         p = cfg.playback
         self.players = [pb.PlaybackState(total_chunks=cfg.session_chunks, window_size=p.window_slots, rho=p.rho)
                         for _ in range(n_users)]
-        self.requested_quality: list[list[float]] = [[] for _ in range(n_users)]
         self.gammas = np.zeros(n_users)
         self.last_mode = np.zeros(n_users, dtype=int)
         self.last_bits = np.zeros(n_users, dtype=np.int64)
@@ -156,19 +155,15 @@ class RunState:
         self.traces = {"schedule": [], "client": [], "playback": []} if collect_traces else None
 
     def playback(self, i: int) -> None:
-        """Step every unfinished player over video slot i, whose completions are already credited."""
-        for ps in self.players:
+        """Step (and trace) every unfinished player over video slot i, whose completions are already credited."""
+        rows = self.traces["playback"] if self.traces is not None else None
+        for u, ps in enumerate(self.players):
             if ps.phase != pb.FINISHED:
                 pb.playback_step(ps, i)
-
-    def trace_playback(self, i: int) -> None:
-        """One playback trace row per player that `playback(i)` stepped."""
-        rows = self.traces["playback"]
-        for u, ps in enumerate(self.players):
-            if ps.last_slot == i:
-                # The delay window still holds every arrival credited to slot i.
-                a_i = sum(a == i for a, _ in ps.recent)
-                rows.append((i, u, ps.psi, ps.phase, ps.e_last, a_i))
+                if rows is not None:
+                    # The delay window still holds every arrival credited to slot i.
+                    a_i = sum(a == i for a, _ in ps.recent)
+                    rows.append((i, u, ps.psi, ps.phase, ps.e_last, a_i))
 
     def sample(self) -> None:
         """Add this slot's backlogs and virtual queues to the running sums."""
@@ -178,17 +173,15 @@ class RunState:
     def request(self, k: int) -> None:
         """Chunk slot k: every user picks the quality of its k-th chunk, enqueues it and advances theta."""
         utility, video = self.cfg.utility, self.cfg.video
-        profile, starts, requested_quality = self.profile, self.starts, self.requested_quality
+        profile, starts = self.profile, self.starts
         gammas, last_mode, last_bits = self.gammas, self.last_mode, self.last_bits
         for u, qs in enumerate(self.queues):
             gamma = cl.optimize_gamma(qs.theta, utility, video.d_min, video.d_max)
             gammas[u] = gamma
             i = (starts[u] + k) % profile.num_chunks
             m = cl.request_chunk(qs, profile, i)
-            quality = profile.quality[i][m - 1]
-            requested_quality[u].append(quality)
             last_mode[u], last_bits[u] = m, profile.size_bits[i][m - 1]
-            cl.update_virtual_queue(qs, gamma, quality)
+            cl.update_virtual_queue(qs, gamma, profile.quality[i][m - 1])
 
     def refresh_topology(self, t: int) -> None:
         """Under mobility, slot t's gains and every helper's rate table."""
@@ -240,7 +233,9 @@ class RunState:
             broken = qs.broken_identity()
             if broken is not None:
                 raise RuntimeError(f"slot {t}: user {u} {broken}")
-            if ps.consumed_count > len(ps.delays):
+            if ps.arrived != qs.head:
+                raise RuntimeError(f"slot {t}: user {u} player arrivals != queue head")
+            if ps.consumed_count > ps.arrived:
                 raise RuntimeError(f"slot {t}: user {u} played a chunk that never arrived")
 
     def drained(self) -> bool:
@@ -254,17 +249,15 @@ class RunState:
         cfg, sum_q, sum_theta = self.cfg, self.sum_q, self.sum_theta
         users = []
         d_bar = np.zeros(self.n_users)
-        for u, (qs, ps, requested_quality) in enumerate(zip(self.queues, self.players, self.requested_quality)):
-            delivered_ids = sorted(ps.delays)
-            qualities = [requested_quality[k] for k in delivered_ids]
-            requested = len(requested_quality)
-            d_bar[u] = sum(qualities) / requested if requested else 0.0
+        for u, (qs, ps) in enumerate(zip(self.queues, self.players)):
+            requested = qs.requested_chunks
+            d_bar[u] = qs.delivered_quality / requested if requested else 0.0
             # UserResult extends the playback QoE metrics with the queue side.
             users.append(UserResult(
-                user_id=u, requested_chunks=requested, delivered_chunk_ids=tuple(delivered_ids),
+                user_id=u, requested_chunks=requested, delivered_chunk_ids=tuple(range(ps.arrived)),
                 mean_quality_over_requested=float(d_bar[u]), mean_q_bits=float(sum_q[u] / slots_run),
                 mean_theta=float(sum_theta[u] / slots_run), playback_finished=ps.phase == pb.FINISHED,
-                queue_drained=qs.q == 0, **vars(pb.qoe_metrics(ps, qualities)),
+                queue_drained=qs.q == 0, **vars(pb.qoe_metrics(ps, qs.delivered_quality)),
             ))
         utility_defined = bool(self.n_users and (d_bar > 0).all())
         utility = float(sum(cl.utility(cfg.utility.alpha, x) for x in d_bar)) if utility_defined else float("nan")
@@ -292,8 +285,6 @@ def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = F
         chunk_slot = t % n == 0
         if chunk_slot and t > 0:
             st.playback(k)
-            if st.traces is not None:
-                st.trace_playback(k)
         st.sample()
         requesting = chunk_slot and k < chunks
         if requesting:

@@ -4,7 +4,8 @@ Chunks arrive at video-slot granularity (a chunk completed anywhere inside a
 video slot counts at that slot's end), the buffer drains one chunk per slot
 while playing, and playback starts once the buffer crosses rho times the
 sliding-window maximum observed delivery delay. A stall re-arms the same
-threshold rule with a freshly estimated delay.
+threshold rule with a freshly estimated delay. Chunks arrive in session
+order, so a player keeps counts and a delay sum, not a per-chunk record.
 """
 from __future__ import annotations
 
@@ -25,9 +26,9 @@ class PlaybackState:
     total_chunks: int
     window_size: int = 20
     rho: float = 3.0
-    psi: int = 0
     phase: str = PREBUFFERING
-    delays: dict[int, int] = field(default_factory=dict)
+    arrived: int = 0
+    delay_sum: int = 0
     t_start: int | None = None
     stall_count: int = 0
     stall_slots: int = 0
@@ -45,6 +46,10 @@ class PlaybackState:
         if self.rho <= 0:
             raise ValueError("rho must be positive")
 
+    @property
+    def psi(self) -> int:
+        return self.arrived - self.consumed_count  # chunks buffered
+
 
 @dataclass(frozen=True)
 class QoeMetrics:
@@ -58,16 +63,16 @@ class QoeMetrics:
 
 
 def record_arrivals(ps: PlaybackState, completed_chunks: Sequence[int], i: int) -> None:
-    """Credit chunks completed during video slot i to the buffer and delay ledger."""
+    """Credit chunks completed during video slot i, each the next id due, to the buffer and delay sum."""
     for k in completed_chunks:
-        if k in ps.delays:
-            raise RuntimeError(f"chunk {k} recorded as arrived twice")
+        if k != ps.arrived:
+            raise RuntimeError(f"chunk {k} arrived out of order; chunk {ps.arrived} is due")
         w = i - k
         if w < 1:
             raise RuntimeError(f"chunk {k} arrived at slot {i} before it could be requested")
-        ps.delays[k] = w
+        ps.arrived += 1
+        ps.delay_sum += w
         ps.recent.append((i, w))
-    ps.psi += len(completed_chunks)
 
 
 def window_max_delay(ps: PlaybackState, i: int) -> float:
@@ -101,7 +106,7 @@ def playback_step(ps: PlaybackState, i: int) -> list[str]:
         return []
     events: list[str] = []
     e_i = window_max_delay(ps, i)
-    all_arrived = len(ps.delays) >= ps.total_chunks
+    all_arrived = ps.arrived >= ps.total_chunks
 
     if ps.phase == PREBUFFERING:
         ps.prebuffer_slots += 1
@@ -116,7 +121,6 @@ def playback_step(ps: PlaybackState, i: int) -> list[str]:
             events.append("resume")
     elif ps.phase == PLAYING:
         if ps.psi > 0:
-            ps.psi -= 1
             ps.consumed_count += 1
             if ps.consumed_count >= ps.total_chunks:
                 ps.phase = FINISHED
@@ -129,11 +133,11 @@ def playback_step(ps: PlaybackState, i: int) -> list[str]:
     return events
 
 
-def qoe_metrics(ps: PlaybackState, delivered_qualities: Sequence[float]) -> QoeMetrics:
-    """Session summary: mean quality and delay over delivered chunks, buffering share."""
-    delivered = len(ps.delays)
-    avg_quality = sum(delivered_qualities) / len(delivered_qualities) if delivered_qualities else float("nan")
-    avg_delay = sum(ps.delays.values()) / delivered if delivered else float("nan")
+def qoe_metrics(ps: PlaybackState, quality_sum: float) -> QoeMetrics:
+    """Session summary from the delivered qualities' in-order sum: mean quality and delay, buffering share."""
+    delivered = ps.arrived
+    avg_quality = quality_sum / delivered if delivered else float("nan")
+    avg_delay = ps.delay_sum / delivered if delivered else float("nan")
     total_slots = max(ps.last_slot, 1)
     buffering = 100.0 * (ps.prebuffer_slots + ps.stall_slots) / total_slots
     return QoeMetrics(

@@ -139,7 +139,7 @@ def ledger_fuzz(cases: int = 200, seed: int = 13) -> SuiteResult:
         completed_order: list[int] = []
         problem = None
         t = k = 0
-        while k < session_length or qs.head < len(qs.ends):
+        while k < session_length or qs.chunks:
             if t % n == 0 and k < session_length:
                 cl.request_chunk(qs, profile, (start + k) % profile.num_chunks)
                 k += 1

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -23,6 +24,12 @@ def profile_2x3():
         d_min=0.3,
         d_max=1.0,
     )
+
+
+def outstanding(*chunks):
+    """A queue holding session chunks 0.. as (cumulative end, quality), none consumed."""
+    end = chunks[-1][0]
+    return RequestQueueState(q=float(end), chunks=deque(chunks), requested_chunks=len(chunks), requested_bits=end)
 
 
 def test_utility_values():
@@ -81,48 +88,56 @@ def test_request_chunk_first_request_sets_queue():
     m = request_chunk(qs, p, 1)
     assert m == select_mode(RequestQueueState(theta=3.0), p, 1)
     assert qs.q == qs.requested_bits == p.size_bits[1][m - 1]
-    assert qs.ends == [p.size_bits[1][m - 1]] and qs.head == 0
+    assert list(qs.chunks) == [(p.size_bits[1][m - 1], p.quality[1][m - 1])]
+    assert qs.head == 0 and qs.requested_chunks == 1
 
 
 def test_request_chunk_single_mode_forced():
     p = synth_catalog([(4, 1, 500.0)], seed=0)
     qs = RequestQueueState(q=123.0, theta=456.0)
     assert request_chunk(qs, p, 0) == 1
-    assert qs.ends == [p.size_bits[0][0]]
+    assert list(qs.chunks) == [(p.size_bits[0][0], p.quality[0][0])]
 
 
 def test_drain_clamp_discards_excess():
-    qs = RequestQueueState(q=100.0, ends=[100], requested_bits=100)
+    qs = outstanding((100, 0.7))
     completed = drain_bits(qs, 150)
     assert completed == [0]
     assert qs.q == 0.0
     assert qs.discarded_bits == 50
     assert qs.consumed_bits == 100
-    assert qs.head == 1 and qs.broken_identity() is None
+    assert qs.head == 1 and not qs.chunks and qs.delivered_quality == 0.7
+    assert qs.broken_identity() is None
 
 
 def test_drain_zero_is_identity():
-    qs = RequestQueueState(q=60.0, ends=[60], requested_bits=60)
+    qs = outstanding((60, 0.7))
     assert drain_bits(qs, 0) == []
     assert qs.q == 60.0 and qs.head == 0 and qs.consumed_bits == 0
+    assert list(qs.chunks) == [(60, 0.7)] and qs.delivered_quality == 0.0
 
 
 def test_drain_head_of_line_order():
-    qs = RequestQueueState(q=100.0, ends=[60, 100], requested_bits=100)
+    qs = outstanding((60, 0.4), (100, 0.9))
     completed = drain_bits(qs, 70)
     assert completed == [0]
     assert qs.q == 30.0
-    assert qs.head == 1 and qs.ends[qs.head] - qs.consumed_bits == 30
+    assert qs.head == 1 and qs.chunks[0][0] - qs.consumed_bits == 30
+    assert qs.delivered_quality == 0.4
 
 
 def test_drain_completes_several_chunks_then_none_then_discards():
-    qs = RequestQueueState(q=100.0, ends=[20, 50, 70, 100], requested_bits=100)
+    qualities = (0.1, 0.2, 0.7, 0.3)
+    qs = outstanding(*zip((20, 50, 70, 100), qualities))
     assert drain_bits(qs, 75) == [0, 1, 2]
     assert drain_bits(qs, 20) == []
     assert (qs.head, qs.q, qs.consumed_bits) == (3, 5.0, 95)
+    assert list(qs.chunks) == [(100, 0.3)]
     assert drain_bits(qs, 40) == [3]
     assert (qs.head, qs.q, qs.consumed_bits, qs.discarded_bits, qs.delivered_bits) == (4, 0.0, 100, 35, 135)
     assert qs.broken_identity() is None
+    # The quality sum adds completed chunks left to right, as sum() over a list does.
+    assert qs.delivered_quality == sum(qualities) and not qs.chunks
 
 
 def test_optimize_gamma_closed_form_log_utility():
@@ -204,7 +219,9 @@ def _corrupt_head(qs):
 
 
 def _corrupt_ends(qs):
-    qs.ends[-1] += 1
+    if qs.chunks:
+        end, quality = qs.chunks[-1]
+        qs.chunks[-1] = (end + 1, quality)
 
 
 @pytest.mark.parametrize("corrupt,reason", [
@@ -225,7 +242,8 @@ def test_corrupted_cursor_trips_engine_and_fuzz(monkeypatch, corrupt, reason):
     monkeypatch.setattr(client, "drain_bits", corrupting_drain)
     suite = validate.ledger_fuzz(cases=5, seed=5)
     assert suite.passed == 0 and suite.first_failure["reason"] == reason
-    cfg = config_from_sources(None, ("topology.mean_users=4", "session_chunks=3"), 1)
+    # 1000 symbols per slot leave chunks outstanding across drains, so there is an end to corrupt.
+    cfg = config_from_sources(None, ("topology.mean_users=4", "session_chunks=3", "mimo.symbols_per_slot=1000"), 1)
     with pytest.raises(RuntimeError, match=reason):
         engine.run(cfg, check_invariants=True)
 

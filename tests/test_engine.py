@@ -1,4 +1,5 @@
 import hashlib
+from collections.abc import Sized
 
 import numpy as np
 import pytest
@@ -134,6 +135,49 @@ def test_receiver_views_dumb_never_exceeds_advanced(monkeypatch):
         run(build_config(flat), check_invariants=True)
 
 
+def test_player_queue_count_mismatch_trips_check(monkeypatch):
+    # A player credits exactly the chunks its queue completed, so its arrival
+    # count equals the queue's head; result() builds delivered_chunk_ids as
+    # range(arrived) on that identity. Losing the completions between the two
+    # is caught on the slot it happens.
+    drain = engine.cl.drain_bits
+
+    def drain_losing_completions(qs, delivered_bits):
+        drain(qs, delivered_bits)
+        return []
+
+    cfg = build_config(small_flat())
+    monkeypatch.setattr(engine.cl, "drain_bits", drain_losing_completions)
+    with pytest.raises(RuntimeError, match="user 0 player arrivals != queue head"):
+        run(cfg, check_invariants=True)
+
+
+def test_per_user_state_does_not_grow_with_session_length(monkeypatch):
+    # Only outstanding chunks are kept per user; delivered ones are counts and sums.
+    states = []
+
+    class Capturing(engine.RunState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            states.append(self)
+
+    monkeypatch.setattr(engine, "RunState", Capturing)
+    lengths = []
+    for chunks in (30, 300):
+        res = run(build_config(small_flat(session_chunks=chunks)))
+        assert res.drain_complete and res.all_finished
+        per_attr = {}
+        for obj in states[-1].queues + states[-1].players:
+            for name, value in vars(obj).items():
+                if isinstance(value, Sized) and not isinstance(value, str):
+                    key = (type(obj).__name__, name)
+                    per_attr[key] = max(per_attr.get(key, 0), len(value))
+        lengths.append(per_attr)
+    short, long = lengths
+    assert short.keys() == long.keys() and all(long[k] <= short[k] for k in long), (short, long)
+    assert all(not qs.chunks for st in states for qs in st.queues)
+
+
 def test_dumb_receiver_run_differs_but_completes():
     adv = run(build_config(small_flat(receiver="advanced")))
     dumb = run(build_config(small_flat(receiver="dumb")))
@@ -229,11 +273,12 @@ def test_unfinished_users_still_report_metrics():
 # changes one bit of a result or a trace changes these. They assume numpy 2
 # scalar reprs: the client trace's gamma column holds np.float64 values. The
 # first two drain; the overloaded run stops at the drain limit, so after the
-# loop it steps only the final partial video slot.
+# loop it steps only the final partial video slot. Playback rows cover every
+# stepped player-slot, the ones stepped after the loop included: 64, 64, 30.
 PINNED_RESULT_DIGESTS = [
-    ({}, "27360acade8e69fc495c97613a3522f1892632d97e0b41c83862aefa61b3da08"),
-    ({"policy": "baseline", "receiver": "dumb"}, "a36c17ba06a301c49d3aeb2c5cfabe6e13a3c5b8c1b1b8f91199245364e49837"),
-    (OVERLOADED, "ec0a5acdfae4c749f3b543d02977e5b83d42ef55ae9a32f9943917757c62c7c5"),
+    ({}, "7a07c3afe344b4bdce462102c11897deefe66008477002ad79493febda5d6858"),
+    ({"policy": "baseline", "receiver": "dumb"}, "567cde7f56865a763743408dadc7880d627cc9533f8f5fd5d05b73160e27eb66"),
+    (OVERLOADED, "40453cb0f2ea61bd667eb689f348fa8c6187429db48b411f012e4c6446c2e017"),
 ]
 
 

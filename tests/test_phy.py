@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_graph
+from graphs import make_graph
 from streamsched.phy import MimoConfig, sinr_matrix
 from streamsched.scheduler import helper_rate_rows, helper_tables, max_weight_slot
 

@@ -29,9 +29,11 @@ def run_slots(ps, arrivals_by_slot, upto):
 
 def test_record_arrivals_delay_bookkeeping():
     ps = fresh()
+    record_arrivals(ps, [0, 1, 2], 3)  # delays 3, 2, 1
     record_arrivals(ps, [3], 5)
-    assert ps.delays[3] == 2
-    assert ps.psi == 1
+    assert ps.recent[-1] == (5, 2)
+    assert ps.delay_sum == 3 + 2 + 1 + 2
+    assert ps.arrived == ps.psi == 4
 
 
 def test_record_arrivals_empty_keeps_psi():
@@ -42,20 +44,33 @@ def test_record_arrivals_empty_keeps_psi():
 
 def test_record_arrivals_fastest_delivery_has_delay_one():
     ps = fresh()
-    record_arrivals(ps, [6], 7)
-    assert ps.delays[6] == 1
+    record_arrivals(ps, [0], 1)
+    assert ps.delay_sum == 1
 
 
 def test_record_arrivals_duplicate_rejected():
     ps = fresh()
     record_arrivals(ps, [0], 1)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="out of order"):
         record_arrivals(ps, [0], 2)
+
+
+def test_record_arrivals_skipped_chunk_rejected():
+    # Delivery is an in-order prefix: an id other than the next one due raises
+    # where it happens, before that chunk is counted.
+    ps = fresh()
+    record_arrivals(ps, [0], 1)
+    with pytest.raises(RuntimeError, match="chunk 2 arrived out of order; chunk 1 is due"):
+        record_arrivals(ps, [2], 2)
+    assert (ps.arrived, ps.delay_sum) == (1, 1)
+    with pytest.raises(RuntimeError, match="out of order"):
+        record_arrivals(fresh(), [1, 0], 2)
 
 
 def test_record_arrivals_impossible_delay_rejected():
     ps = fresh()
-    with pytest.raises(RuntimeError):
+    record_arrivals(ps, [0, 1, 2, 3, 4], 5)
+    with pytest.raises(RuntimeError, match="before it could be requested"):
         record_arrivals(ps, [5], 5)
 
 
@@ -164,8 +179,8 @@ def test_no_phantom_consumption_fuzz():
                 k += 1
             record_arrivals(ps, arrivals, i)
             playback_step(ps, i)
-            assert ps.consumed_count <= len(ps.delays)
-            assert ps.psi == len(ps.delays) - ps.consumed_count
+            assert ps.consumed_count <= ps.arrived == k
+            assert ps.psi == k - ps.consumed_count
             if ps.phase == FINISHED:
                 break
 
@@ -208,7 +223,7 @@ def test_rho_monotonicity_on_fixed_arrivals():
 def test_qoe_metrics_quality_and_delay():
     ps = fresh(total=3, rho=1.0)
     run_slots(ps, {1: [0], 5: [1, 2]}, 8)
-    m = qoe_metrics(ps, [0.9, 0.9, 0.9])
+    m = qoe_metrics(ps, 0.9 + 0.9 + 0.9)
     assert m.average_quality == pytest.approx(0.9)
     assert m.average_delay == pytest.approx((1 + 4 + 3) / 3)
     assert m.delivered_chunks == 3
@@ -226,7 +241,7 @@ def test_qoe_buffering_percent_definition():
         i += 1
     assert ps.t_start == 5
     assert ps.stall_count == 0
-    m = qoe_metrics(ps, [0.5] * total)
+    m = qoe_metrics(ps, 0.5 * total)
     assert ps.last_slot == 1005
     assert m.buffering_percent == pytest.approx(100 * 5 / 1005)
 
@@ -234,7 +249,7 @@ def test_qoe_buffering_percent_definition():
 def test_qoe_constant_delay():
     ps = fresh(total=4, rho=1.0)
     run_slots(ps, {i: [i - 3] for i in range(3, 7)}, 8)  # every chunk 3 slots late
-    m = qoe_metrics(ps, [0.5] * 4)
+    m = qoe_metrics(ps, 0.5 * 4)
     assert m.average_delay == pytest.approx(3.0)
 
 
@@ -242,7 +257,7 @@ def test_qoe_undefined_with_no_deliveries():
     ps = fresh(total=5)
     record_arrivals(ps, [], 1)
     playback_step(ps, 1)
-    m = qoe_metrics(ps, [])
+    m = qoe_metrics(ps, 0.0)
     assert m.delivered_chunks == 0
     assert math.isnan(m.average_delay) and math.isnan(m.average_quality)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_graph
+from graphs import make_graph
 from streamsched import validate
 from streamsched.phy import MimoConfig
 from streamsched.scheduler import (
