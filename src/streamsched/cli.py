@@ -55,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scheduler instances (default 10000)")
     p_val.add_argument("--cases", type=_nonnegative_int, default=1000, help="line-search cases (default 1000)")
     p_val.add_argument("--seed", type=_nonnegative_int, default=7)
-    p_val.add_argument("--inject-failure", action="store_true", help=argparse.SUPPRESS)
 
     p_topo = sub.add_parser("topology", help="generate a topology and dump nodes/gains CSVs")
     _add_common(p_topo)
@@ -81,17 +80,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = config_from_sources(args.config, args.overrides, args.seed)
-    raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
-    if not raw_values:
-        raise ConfigError("sweep: empty value list")
     values: list[str] = []
-    for v in raw_values:
+    for v in args.values.split(","):
+        v = v.strip()
         if v in values:
             print(f"warning: duplicate sweep value {v!r} ignored", file=sys.stderr)
-        else:
+        elif v:
             values.append(v)
-    os.makedirs(args.out, exist_ok=True)
     results = engine.sweep(cfg, args.param, values)
+    os.makedirs(args.out, exist_ok=True)
     agg_path = os.path.join(args.out, "aggregate.csv")
     with open(agg_path, "w", newline="") as fh:
         fh.write(engine.provenance_line(config_hash(cfg), cfg.seed))
@@ -117,7 +114,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    results = validate.run_all(args.instances, args.cases, args.seed, args.inject_failure)
+    results = validate.run_all(args.instances, args.cases, args.seed)
     status = EXIT_OK
     for suite in results:
         print(f"{suite.name}: {suite.passed}/{suite.total}")

@@ -77,8 +77,6 @@ def utility(alpha: float, x: float) -> float:
     """Fairness utility: log for alpha=1, power form otherwise."""
     if x <= 0:
         raise ValueError(f"utility argument must be positive (got {x})")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
     if alpha == 1.0:
         return math.log(x)
     return x ** (1.0 - alpha) / (1.0 - alpha)
@@ -135,12 +133,9 @@ def optimize_gamma(theta: float, cfg: UtilityConfig, d_min: float, d_max: float)
     """Maximize v * utility(gamma) - theta * gamma over [d_min, d_max].
 
     alpha=1 admits the closed form clamp(v / theta); other alphas use a
-    golden-section search (the objective is concave).
+    golden-section search (the objective is concave). theta >= 0 and
+    0 < d_min < d_max hold: update_virtual_queue and VideoSpec ensure them.
     """
-    if not d_min < d_max:
-        raise ConfigError("d_min must be < d_max")
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
     if theta == 0.0:
         return d_max
     if cfg.alpha == 1.0:

@@ -78,8 +78,8 @@ class VideoSpec:
             chunks, modes, kbps = seg
             if chunks < 1 or modes < 1 or kbps <= 0:
                 raise ConfigError(f"video.segments: invalid segment {seg}")
-        if not self.d_min < self.d_max:
-            raise ConfigError("video.d_min must be < video.d_max")
+        if not 0 < self.d_min < self.d_max:
+            raise ConfigError("video.d_min must be positive and < video.d_max")
         if self.sigma < 0:
             raise ConfigError("video.sigma must be nonnegative")
         if not 0 < self.ladder_ratio < 1:

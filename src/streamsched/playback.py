@@ -38,14 +38,6 @@ class PlaybackState:
     e_last: float = 1.0
     recent: deque = field(default_factory=deque)
 
-    def __post_init__(self) -> None:
-        if self.total_chunks < 1:
-            raise ValueError("total_chunks must be positive")
-        if self.window_size < 1:
-            raise ValueError("window_size must be positive")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-
     @property
     def psi(self) -> int:
         return self.arrived - self.consumed_count  # chunks buffered
@@ -80,8 +72,6 @@ def window_max_delay(ps: PlaybackState, i: int) -> float:
 
     An empty window carries the previous estimate forward (initially 1).
     """
-    if i < 1:
-        raise ValueError("video slots are 1-indexed")
     cutoff = i - ps.window_size + 1
     while ps.recent and ps.recent[0][0] < cutoff:
         ps.recent.popleft()

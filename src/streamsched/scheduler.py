@@ -219,10 +219,7 @@ def round_robin_slot(
 
 
 def aggregate_per_user(per_edge_bits: np.ndarray, receiver_model: str) -> np.ndarray:
-    _check_receiver(receiver_model)
-    if receiver_model == "advanced":
-        return per_edge_bits.sum(axis=0)
-    return per_edge_bits.max(axis=0) if per_edge_bits.size else np.zeros(0, dtype=np.int64)
+    return per_edge_bits.sum(axis=0) if receiver_model == "advanced" else per_edge_bits.max(axis=0)
 
 
 def max_rssi_associate(state: TopologyState, graph: NetworkGraph) -> np.ndarray:
@@ -241,8 +238,3 @@ def build_round_robin(associations: np.ndarray, graph: NetworkGraph) -> RoundRob
     for u, h in enumerate(associations):
         users_by_helper[int(h)].append(u)
     return RoundRobinState(users_by_helper=users_by_helper)
-
-
-def _check_receiver(receiver_model: str) -> None:
-    if receiver_model not in ("advanced", "dumb"):
-        raise ValueError(f"unknown receiver model: {receiver_model!r}")

@@ -72,8 +72,6 @@ def torus_distance(a: ArrayLike, b: ArrayLike, side: float) -> float | np.ndarra
     wrap subtracts one period at most, so points further out get a wrong
     distance.
     """
-    if side <= 0:
-        raise ConfigError(f"torus side must be positive (got {side})")
     delta = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
     delta = np.minimum(delta, side - delta)
     return np.sqrt(delta[..., 0] * delta[..., 0] + delta[..., 1] * delta[..., 1])
@@ -81,8 +79,6 @@ def torus_distance(a: ArrayLike, b: ArrayLike, side: float) -> float | np.ndarra
 
 def pathloss_gain(d: float, ref_distance: float = PATHLOSS_REF_DISTANCE_M, exponent: float = PATHLOSS_EXPONENT) -> float:
     """Linear power gain 1 / (1 + (d / d0)^eta) at distance d meters."""
-    if d < 0:
-        raise ValueError(f"distance must be nonnegative (got {d})")
     return 1.0 / (1.0 + (d / ref_distance) ** exponent)
 
 
@@ -99,12 +95,6 @@ def place_users(
     times the outer density; intensities are scaled so the expected total count
     is mean_users. Returns an (n, 2) array, deterministic for a fixed seed.
     """
-    if side <= 0:
-        raise ConfigError("region side must be positive")
-    if not 0 < hotspot_side <= side:
-        raise ConfigError("hotspot must be positive and fit inside the region")
-    if mean_users < 0 or hotspot_ratio <= 0:
-        raise ConfigError("mean_users must be >= 0 and hotspot_ratio > 0")
     rng = np.random.default_rng(seed)
     hot_area = hotspot_side * hotspot_side
     out_area = side * side - hot_area
@@ -150,10 +140,6 @@ def build_graph(
     """
     helpers = np.asarray(helpers, dtype=float).reshape(-1, 2)
     users = np.asarray(users, dtype=float).reshape(-1, 2)
-    if not len(helpers) or not len(users):
-        raise ConfigError("need at least one helper and one user")
-    if edge_rule not in ("all", "snr"):
-        raise ConfigError(f"unknown edge rule: {edge_rule!r}")
     powers = np.full(len(helpers), float(tx_power))
     if edge_rule == "all":
         adjacency = np.ones((len(helpers), len(users)), dtype=bool)
@@ -174,8 +160,6 @@ class WaypointMobility:
     """
 
     def __init__(self, speed_m_per_slot: float, seed: int = 0):
-        if speed_m_per_slot <= 0:
-            raise ConfigError("waypoint speed must be positive")
         self.speed = speed_m_per_slot
         self.seed = seed
 

@@ -161,12 +161,9 @@ def ledger_fuzz(cases: int = 200, seed: int = 13) -> SuiteResult:
     return SuiteResult("ledger_fuzz", passed, cases, failure)
 
 
-def run_all(instances: int = 10_000, cases: int = 1000, seed: int = 7, inject_failure: bool = False) -> list[SuiteResult]:
-    results = [
+def run_all(instances: int = 10_000, cases: int = 1000, seed: int = 7) -> list[SuiteResult]:
+    return [
         greedy_vs_exhaustive(instances, seed),
         gamma_closed_form(cases, seed + 1),
         ledger_fuzz(max(cases // 5, 1), seed + 2),
     ]
-    if inject_failure:
-        results.append(SuiteResult("injected_failure", 0, 1, {"reason": "failure injection requested"}))
-    return results

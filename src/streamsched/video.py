@@ -85,22 +85,13 @@ def synth_catalog(
     jitter around the segment mean with a lognormal multiplier of unit mean
     (sigma on the log scale), and quality maps from size through a log-shaped
     concave curve spanning [d_min, d_max]. Deterministic for a fixed seed.
+    The arguments must satisfy VideoSpec's rules; they are not checked again.
     """
-    if not segments:
-        raise ValueError("segment list is empty")
-    if not d_min < d_max:
-        raise ValueError("d_min must be < d_max")
-    if not 0.0 < ladder_ratio < 1.0:
-        raise ValueError("ladder_ratio must lie in (0, 1)")
     rng = np.random.default_rng(seed)
 
     quality_rows: list[tuple[float, ...]] = []
     size_rows: list[tuple[int, ...]] = []
-    for seg_index, (n_chunks, n_modes, mean_kbps) in enumerate(segments):
-        if n_chunks < 1 or n_modes < 1:
-            raise ValueError(f"segment {seg_index}: chunks and modes must be positive")
-        if mean_kbps <= 0:
-            raise ValueError(f"segment {seg_index}: mean bitrate must be positive")
+    for n_chunks, n_modes, mean_kbps in segments:
         mean_bits = mean_kbps * 1e3 * t_gop_seconds
         # Unit-mean lognormal multipliers model chunk-to-chunk VBR variation.
         mults = np.exp(rng.normal(-0.5 * sigma * sigma, sigma, size=n_chunks)) if sigma > 0 else np.ones(n_chunks)
@@ -130,5 +121,8 @@ def _quality_ladder(sizes: Sequence[int], d_min: float, d_max: float) -> tuple[f
     if n == 1:
         return (d_max,)
     span = math.log(sizes[-1] / sizes[0])
-    return tuple(d_min + (d_max - d_min) * math.log(s / sizes[0]) / span for s in sizes)
+    quals = [d_min + (d_max - d_min) * math.log(s / sizes[0]) / span for s in sizes]
+    # The top mode's d_min + (d_max - d_min) * span / span can round one ulp above d_max.
+    quals[-1] = min(quals[-1], d_max)
+    return tuple(quals)
 

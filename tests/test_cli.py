@@ -1,9 +1,11 @@
 import csv
 import hashlib
+import json
 import os
 
 import pytest
 
+from streamsched import validate
 from streamsched.cli import main
 
 SMALL_CONFIG = """
@@ -103,6 +105,22 @@ def test_run_out_of_region_layout_exits_2(config_file, tmp_path, capsys, key, la
     ("topology.tx_power", "inf"),
     ("video.d_max", "inf"),
     ("seed", "-1"),
+    # Out-of-range values: each rule lives only in its config section.
+    ("topology.side_m", "0"),
+    ("topology.hotspot_side_m", "100"),
+    ("topology.hotspot_ratio", "0"),
+    ("topology.mean_users", "-1"),
+    ("topology.edge_rule", "ring"),
+    ("video.segments", "10x0@400"),
+    ("video.segments", "10x3@-5"),
+    ("video.ladder_ratio", "1"),
+    ("video.d_max", "0.2"),
+    ("video.d_min", "0"),
+    ("playback.window_slots", "0"),
+    ("playback.rho", "0"),
+    ("receiver", "smart"),
+    ("utility.alpha", "-1"),
+    ("session_chunks", "0"),
 ])
 def test_run_nonfinite_value_exits_2(config_file, tmp_path, capsys, key, value):
     rc = main(["run", "--config", config_file, "--out", str(tmp_path / "o"), "--set", f"{key}={value}"])
@@ -142,6 +160,7 @@ def test_sweep_empty_values_exits_2(config_file, tmp_path):
     rc = main(["sweep", "--config", config_file, "--out", str(tmp_path / "s"),
                "--param", "V", "--values", " , "])
     assert rc == 2
+    assert not os.path.exists(tmp_path / "s")
 
 
 def test_sweep_records_override_in_run_csv(config_file, tmp_path):
@@ -159,11 +178,13 @@ def test_validate_small_counts_pass(capsys):
     assert "gamma_closed_form: 40/40" in out
 
 
-def test_validate_injected_failure_exits_1(capsys):
-    rc = main(["validate", "--instances", "5", "--cases", "5", "--inject-failure"])
+def test_validate_injected_failure_exits_1(monkeypatch, capsys):
+    failing = validate.SuiteResult("ledger_fuzz", 0, 1, {"case": 0, "reason": "injected"})
+    monkeypatch.setattr(validate, "ledger_fuzz", lambda cases, seed: failing)
+    rc = main(["validate", "--instances", "5", "--cases", "5"])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "counterexample" in err
+    assert json.loads(err) == {"suite": "ledger_fuzz", "counterexample": {"case": 0, "reason": "injected"}}
 
 
 @pytest.mark.parametrize("option", ["--seed", "--instances", "--cases"])

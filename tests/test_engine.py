@@ -109,6 +109,17 @@ def test_sweep_policy_pairing():
     assert results["baseline"].policy == "baseline"
 
 
+@pytest.mark.parametrize("key,value", [
+    ("topology.helper_layout", ";"),
+    ("topology.user_layout", ";"),
+    ("topology.mean_users", "0"),
+])
+def test_build_network_requires_helpers_and_users(key, value):
+    cfg = build_config(small_flat(**{"topology.user_layout": "poisson", key: value}))
+    with pytest.raises(ConfigError):
+        engine.build_network(cfg, np.random.SeedSequence(cfg.seed))
+
+
 def test_sweep_unknown_parameter():
     cfg = build_config(small_flat())
     with pytest.raises(ConfigError):

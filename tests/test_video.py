@@ -90,11 +90,18 @@ def test_one_mode_catalog():
     assert all(len(p.quality[i]) == 1 for i in range(5))
 
 
-def test_bad_generator_config():
-    with pytest.raises(ValueError):
-        synth_catalog([], seed=0)
-    with pytest.raises(ValueError):
-        synth_catalog([(10, 4, -5.0)], seed=0)
+def test_top_mode_quality_never_exceeds_d_max():
+    # The top mode's quality can round one ulp above d_max, which the profile
+    # would reject; every pair of bounds on the 0.01 grid must build.
+    grid = [round(0.01 * k, 2) for k in range(1, 101)]
+    failures = []
+    for i, d_min in enumerate(grid):
+        for d_max in grid[i + 1:]:
+            try:
+                synth_catalog([(100, 8, 631.0)], seed=0, d_min=d_min, d_max=d_max)
+            except ValueError:
+                failures.append((d_min, d_max))
+    assert failures == []
 
 
 def test_profile_invariant_validation():
