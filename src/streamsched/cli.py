@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 validation failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -61,19 +60,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _means(result: engine.SimResult) -> tuple[float, float, float]:
+    """Mean quality and delay over the users that received a chunk (nan if none did), and mean buffering %."""
+    delivered = [u for u in result.users if u.delivered_chunks]
+    if delivered:
+        quality = np.mean([u.average_quality for u in delivered])
+        delay = np.mean([u.average_delay for u in delivered])
+    else:
+        quality = delay = float("nan")
+    return quality, delay, np.mean([u.buffering_percent for u in result.users])
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = config_from_sources(args.config, args.overrides, args.seed)
-    os.makedirs(args.out, exist_ok=True)
     result = engine.run(cfg, collect_traces=args.trace)
     engine.write_summary_csv(result, os.path.join(args.out, "summary.csv"))
     engine.write_run_csv(result, cfg, os.path.join(args.out, "run.csv"))
-    if args.trace:
-        engine.write_trace_csvs(result, args.out)
-    qualities = [u.average_quality for u in result.users if u.delivered_chunks]
-    buffering = [u.buffering_percent for u in result.users]
+    engine.write_trace_csvs(result, args.out)
+    quality, _, buffering = _means(result)
     print(
-        f"utility={result.utility:.6g} meanQuality={np.mean(qualities) if qualities else float('nan'):.4f} "
-        f"meanBuffering%={np.mean(buffering):.3f} drained={result.drain_complete} slots={result.slots_run}"
+        f"utility={result.utility:.6g} meanQuality={quality:.4f} "
+        f"meanBuffering%={buffering:.3f} drained={result.drain_complete} slots={result.slots_run}"
     )
     return EXIT_OK
 
@@ -88,27 +95,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         elif v:
             values.append(v)
     results = engine.sweep(cfg, args.param, values)
-    os.makedirs(args.out, exist_ok=True)
-    agg_path = os.path.join(args.out, "aggregate.csv")
-    with open(agg_path, "w", newline="") as fh:
-        fh.write(engine.provenance_line(config_hash(cfg), cfg.seed))
-        writer = csv.writer(fh)
-        writer.writerow([args.param, "utility", "meanQuality", "meanDelay", "meanBufferingPercent", "drainComplete"])
-        for value, result in results:
-            subdir = os.path.join(args.out, f"{args.param}={value}")
-            os.makedirs(subdir, exist_ok=True)
-            engine.write_summary_csv(result, os.path.join(subdir, "summary.csv"))
-            run_cfg = with_key(cfg, engine.SWEEP_PARAMETERS[args.param], value)
-            engine.write_run_csv(result, run_cfg, os.path.join(subdir, "run.csv"))
-            delivered = [u for u in result.users if u.delivered_chunks]
-            writer.writerow([
-                value,
-                f"{result.utility:.10g}",
-                f"{np.mean([u.average_quality for u in delivered]) if delivered else float('nan'):.6g}",
-                f"{np.mean([u.average_delay for u in delivered]) if delivered else float('nan'):.6g}",
-                f"{np.mean([u.buffering_percent for u in result.users]):.6g}",
-                int(result.drain_complete),
-            ])
+    rows = []
+    for value, result in results:
+        subdir = os.path.join(args.out, f"{args.param}={value}")
+        engine.write_summary_csv(result, os.path.join(subdir, "summary.csv"))
+        run_cfg = with_key(cfg, engine.SWEEP_PARAMETERS[args.param], value)
+        engine.write_run_csv(result, run_cfg, os.path.join(subdir, "run.csv"))
+        quality, delay, buffering = _means(result)
+        rows.append([value, f"{result.utility:.10g}", f"{quality:.6g}", f"{delay:.6g}", f"{buffering:.6g}",
+                     int(result.drain_complete)])
+    agg_path = engine.write_csv(
+        os.path.join(args.out, "aggregate.csv"), config_hash(cfg), cfg.seed,
+        [args.param, "utility", "meanQuality", "meanDelay", "meanBufferingPercent", "drainComplete"], rows)
     print(f"swept {args.param} over {len(values)} values -> {agg_path}")
     return EXIT_OK
 
@@ -127,11 +125,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_topology(args: argparse.Namespace) -> int:
     cfg = config_from_sources(args.config, args.overrides, args.seed)
-    os.makedirs(args.out, exist_ok=True)
     graph = engine.build_network(cfg, np.random.SeedSequence(cfg.seed).spawn(3)[0])
-    state = topo.topology_state(graph)
-    topo.dump_nodes_csv(graph, os.path.join(args.out, "nodes.csv"))
-    topo.dump_gains_csv(state, os.path.join(args.out, "gains.csv"))
+    nodes = [["helper", i, repr(x), repr(y)] for i, (x, y) in enumerate(graph.helpers.tolist())]
+    nodes += [["user", i, repr(x), repr(y)] for i, (x, y) in enumerate(graph.users.tolist())]
+    gains = topo.topology_state(graph).gains.tolist()
+    digest = config_hash(cfg)
+    engine.write_csv(os.path.join(args.out, "nodes.csv"), digest, cfg.seed, ["nodeType", "id", "x", "y"], nodes)
+    engine.write_csv(os.path.join(args.out, "gains.csv"), digest, cfg.seed, ["helperId", "userId", "gainLinear"],
+                     ([h, u, repr(g)] for h, row in enumerate(gains) for u, g in enumerate(row)))
     print(f"wrote {len(graph.helpers)} helpers, {len(graph.users)} users to {args.out}")
     return EXIT_OK
 

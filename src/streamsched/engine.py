@@ -24,7 +24,7 @@ import csv
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -93,10 +93,13 @@ def build_network(cfg: SimConfig, seed_users: np.random.SeedSequence) -> topo.Ne
             raise ConfigError("topology.helper_layout produced no helpers")
     if spec.user_layout == "poisson":
         users = topo.place_users(spec.side_m, spec.hotspot_side_m, spec.mean_users, spec.hotspot_ratio, seed_users)
+        if len(users) == 0:
+            raise ConfigError("topology.mean_users: the Poisson draw produced zero users; "
+                              "raise the mean or change the seed")
     else:
         users = _parse_layout(spec.user_layout, "topology.user_layout", spec.side_m)
-    if len(users) == 0:
-        raise ConfigError("topology: the user draw produced zero users; raise the mean or change the seed")
+        if not users:
+            raise ConfigError("topology.user_layout produced no users")
     return topo.build_graph(helpers, users, spec.side_m, spec.tx_power, cfg.mimo.antennas, spec.edge_rule,
                             spec.edge_threshold)
 
@@ -329,66 +332,55 @@ def sweep(cfg: SimConfig, parameter: str, values: Sequence) -> list[tuple[object
 # Result files
 # ---------------------------------------------------------------------------
 
-def provenance_line(digest: str, seed: int) -> str:
-    """The first line of every result file: the config hash and the seed."""
-    return f"# config={digest} seed={seed}\n"
+def write_csv(path: str, digest: str, seed: int, header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Write one result file and return its path.
+
+    Line 1 is the provenance line `# config=<digest> seed=<seed>`, line 2 the
+    header, then one line per row; a tuple cell is written space-joined. This
+    is the only code that creates a result file or its directory, so a config
+    rejected before the first write leaves no output behind.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# config={digest} seed={seed}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([" ".join(map(str, v)) if isinstance(v, tuple) else v for v in row] for row in rows)
+    return path
 
 
 def write_summary_csv(result: SimResult, path: str) -> None:
     """Per-user metrics, one row per user, with a provenance comment line."""
-    with open(path, "w", newline="") as fh:
-        fh.write(provenance_line(result.config_hash, result.seed))
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["userId", "requestedChunks", "deliveredChunks", "avgQuality", "avgDelaySlots",
-             "bufferingPercent", "stallCount", "prebufferSlots", "tStart", "meanQBits", "meanTheta",
-             "playbackFinished", "queueDrained"]
-        )
-        for u in result.users:
-            writer.writerow(
-                [u.user_id, u.requested_chunks, u.delivered_chunks, f"{u.average_quality:.6g}",
-                 f"{u.average_delay:.6g}", f"{u.buffering_percent:.6g}", u.stall_count, u.prebuffer_slots,
-                 "" if u.t_start is None else u.t_start, f"{u.mean_q_bits:.6g}", f"{u.mean_theta:.6g}",
-                 int(u.playback_finished), int(u.queue_drained)]
-            )
+    write_csv(path, result.config_hash, result.seed,
+              ["userId", "requestedChunks", "deliveredChunks", "avgQuality", "avgDelaySlots", "bufferingPercent",
+               "stallCount", "prebufferSlots", "tStart", "meanQBits", "meanTheta", "playbackFinished",
+               "queueDrained"],
+              ([u.user_id, u.requested_chunks, u.delivered_chunks, f"{u.average_quality:.6g}",
+                f"{u.average_delay:.6g}", f"{u.buffering_percent:.6g}", u.stall_count, u.prebuffer_slots,
+                "" if u.t_start is None else u.t_start, f"{u.mean_q_bits:.6g}", f"{u.mean_theta:.6g}",
+                int(u.playback_finished), int(u.queue_drained)] for u in result.users))
 
 
 def write_run_csv(result: SimResult, cfg: SimConfig, path: str) -> None:
     """Run-level utility, mean backlogs, and the key config knobs."""
     flat = flatten_config(cfg)
-    with open(path, "w", newline="") as fh:
-        fh.write(provenance_line(result.config_hash, result.seed))
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["utility", "utilityDefined", "meanQTotal", "meanThetaTotal", "drainComplete", "allFinished",
-             "slotsRun", "policy", "receiver", "V", "alpha", "M", "sMax", "users", "seed"]
-        )
-        writer.writerow(
-            [f"{result.utility:.10g}", int(result.utility_defined), f"{result.mean_q_total:.10g}",
-             f"{result.mean_theta_total:.10g}", int(result.drain_complete), int(result.all_finished),
-             result.slots_run, result.policy, result.receiver, flat["utility.v"], flat["utility.alpha"],
-             flat["mimo.m"], flat["mimo.s_max"], len(result.users), result.seed]
-        )
+    write_csv(path, result.config_hash, result.seed,
+              ["utility", "utilityDefined", "meanQTotal", "meanThetaTotal", "drainComplete", "allFinished",
+               "slotsRun", "policy", "receiver", "V", "alpha", "M", "sMax", "users", "seed"],
+              [[f"{result.utility:.10g}", int(result.utility_defined), f"{result.mean_q_total:.10g}",
+                f"{result.mean_theta_total:.10g}", int(result.drain_complete), int(result.all_finished),
+                result.slots_run, result.policy, result.receiver, flat["utility.v"], flat["utility.alpha"],
+                flat["mimo.m"], flat["mimo.s_max"], len(result.users), result.seed]])
 
 
 def write_trace_csvs(result: SimResult, outdir: str) -> list[str]:
     """Optional per-slot traces; returns the paths written."""
     if result.traces is None:
         return []
-    os.makedirs(outdir, exist_ok=True)
-    written = []
     headers = {
         "schedule": ["t", "helperId", "subsetSize", "userIds", "bits"],
         "client": ["t", "userId", "qBits", "theta", "gamma", "requestedMode", "requestedBits", "deliveredBits"],
         "playback": ["i", "userId", "psi", "phase", "eWindow", "arrivals"],
     }
-    for name in ("schedule", "client", "playback"):
-        path = os.path.join(outdir, f"trace_{name}.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write(provenance_line(result.config_hash, result.seed))
-            writer = csv.writer(fh)
-            writer.writerow(headers[name])
-            for row in result.traces[name]:
-                writer.writerow([" ".join(map(str, v)) if isinstance(v, tuple) else v for v in row])
-        written.append(path)
-    return written
+    return [write_csv(os.path.join(outdir, f"trace_{name}.csv"), result.config_hash, result.seed, header,
+                      result.traces[name]) for name, header in headers.items()]

@@ -6,7 +6,6 @@ given positions, so a static layout yields a time-invariant state.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,23 +201,3 @@ def gain_matrix(helper_pos: np.ndarray, user_pos: np.ndarray, side: float) -> np
     dist = torus_distance(helper_pos[:, None, :], user_pos[None, :, :], side)
     return np.array([pathloss_gain(d) for d in dist.ravel().tolist()]).reshape(dist.shape)
 
-
-def dump_nodes_csv(graph: NetworkGraph, path: str) -> None:
-    """Write node positions as CSV rows (nodeType, id, x, y)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["nodeType", "id", "x", "y"])
-        for node_type, points in (("helper", graph.helpers), ("user", graph.users)):
-            for i, (x, y) in enumerate(points.tolist()):
-                writer.writerow([node_type, i, repr(x), repr(y)])
-
-
-def dump_gains_csv(state: TopologyState, path: str) -> None:
-    """Write the gain snapshot as CSV rows (helperId, userId, gainLinear)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["helperId", "userId", "gainLinear"])
-        n_h, n_u = state.gains.shape
-        for h in range(n_h):
-            for u in range(n_u):
-                writer.writerow([h, u, repr(float(state.gains[h, u]))])

@@ -7,6 +7,7 @@ import pytest
 
 from streamsched import validate
 from streamsched.cli import main
+from streamsched.config import config_from_sources, config_hash
 
 SMALL_CONFIG = """
 # desk-scale run
@@ -24,9 +25,23 @@ playback.window_slots = 10
 playback.rho = 2
 """
 
+# Dropping line 1 (the provenance line) of each file gives the pins these files had before they carried it:
+# ed6e9deece885e7dfbbd1bca2257b26dbbc579fd827b2ad2c44230847209548d and
+# 8d34c474d37bfed8db688ffa8615aacb18ce7dce3955ea67b3464002191fbac4.
 TOPOLOGY_DUMP_SHA256 = {
-    "nodes.csv": "ed6e9deece885e7dfbbd1bca2257b26dbbc579fd827b2ad2c44230847209548d",
-    "gains.csv": "8d34c474d37bfed8db688ffa8615aacb18ce7dce3955ea67b3464002191fbac4",
+    "nodes.csv": "68d9f5da31156553306557f36e68fbb90e3dd06c95e531a58620cdfab3abaf90",
+    "gains.csv": "2484be6420d49d32011b4d47a30276a077522138bb225cdbdcb5251c7cdba295",
+}
+
+# Bytes of `run --trace` and of `sweep --param V --values 1e2,1e3` for SMALL_CONFIG: how the
+# result files are written may change, but not what they hold.
+RESULT_SHA256 = {
+    "run/summary.csv": "7f05302efb9a400a86512578bd849d73f4ac52d1a94e1ce38b28cb137275f3d2",
+    "run/run.csv": "14a5919c198392ce9d13fecb9e008dad97cd652a516d376003f83cb1fba2ea72",
+    "run/trace_schedule.csv": "0c05d5294690d1763cae692bf99806961f1151a3525b0a06906a7fb5e601f887",
+    "run/trace_client.csv": "b742da45e0105f23451fdf05dda188b54aee91ed3073527929a06e28bc5768dc",
+    "run/trace_playback.csv": "3bfa56b781f2d5102570d50fa9daff0b0e2e49e8430d566caac303547c1f90f9",
+    "sweep/aggregate.csv": "a2d5df3265913dca29c0425d339e5bbb807dfce0850646c34c87135cca9761a1",
 }
 
 
@@ -129,10 +144,21 @@ def test_run_nonfinite_value_exits_2(config_file, tmp_path, capsys, key, value):
 
 
 def test_run_trace_files(config_file, tmp_path):
-    out = str(tmp_path / "out")
-    assert main(["run", "--config", config_file, "--out", out, "--trace"]) == 0
-    for name in ("trace_schedule.csv", "trace_client.csv", "trace_playback.csv"):
-        assert os.path.exists(os.path.join(out, name))
+    out = tmp_path / "out"
+    assert main(["run", "--config", config_file, "--out", str(out / "run"), "--trace"]) == 0
+    assert main(["sweep", "--config", config_file, "--out", str(out / "sweep"),
+                 "--param", "V", "--values", "1e2,1e3"]) == 0
+    assert main(["topology", "--config", config_file, "--out", str(out / "topo")]) == 0
+    written = {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert set(written) == {*RESULT_SHA256, "topo/nodes.csv", "topo/gains.csv",
+                            *(f"sweep/V={v}/{name}" for v in ("1e2", "1e3") for name in ("summary.csv", "run.csv"))}
+    for name, data in written.items():
+        # Each file names the config that produced it: a sweep subdirectory's has its value set.
+        overrides = [f"utility.v={name.split('/')[1][2:]}"] if name.startswith("sweep/V=") else []
+        cfg = config_from_sources(config_file, overrides)
+        assert data.startswith(f"# config={config_hash(cfg)} seed={cfg.seed}\n".encode()), name
+    for name, digest in RESULT_SHA256.items():
+        assert hashlib.sha256(written[name]).hexdigest() == digest, name
 
 
 def test_sweep_creates_subdirs_and_aggregate(config_file, tmp_path):
@@ -161,6 +187,14 @@ def test_sweep_empty_values_exits_2(config_file, tmp_path):
                "--param", "V", "--values", " , "])
     assert rc == 2
     assert not os.path.exists(tmp_path / "s")
+
+
+@pytest.mark.parametrize("command", ["run", "topology"])
+def test_rejected_config_creates_no_out_dir(tmp_path, capsys, command):
+    rc = main([command, "--out", str(tmp_path / "o"), "--set", "topology.mean_users=0"])
+    assert rc == 2
+    assert "topology.mean_users" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_sweep_records_override_in_run_csv(config_file, tmp_path):
@@ -202,8 +236,7 @@ def test_topology_dump(config_file, tmp_path):
     out = str(tmp_path / "topo")
     rc = main(["topology", "--config", config_file, "--out", out])
     assert rc == 0
-    with open(os.path.join(out, "nodes.csv")) as fh:
-        rows = list(csv.DictReader(fh))
+    rows = read_csv(os.path.join(out, "nodes.csv"))
     assert {r["nodeType"] for r in rows} == {"helper", "user"}
     # Byte-for-byte pins of both files for SMALL_CONFIG's explicit layouts.
     for name, digest in TOPOLOGY_DUMP_SHA256.items():

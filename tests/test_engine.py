@@ -1,4 +1,5 @@
 import hashlib
+import re
 from collections.abc import Sized
 
 import numpy as np
@@ -116,7 +117,7 @@ def test_sweep_policy_pairing():
 ])
 def test_build_network_requires_helpers_and_users(key, value):
     cfg = build_config(small_flat(**{"topology.user_layout": "poisson", key: value}))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=re.escape(key)):
         engine.build_network(cfg, np.random.SeedSequence(cfg.seed))
 
 
