@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import engine, topology as topo, validate
-from .config import config_from_sources, config_hash, with_key
+from .config import SimConfig, config_from_sources, config_hash, with_key
 from .errors import ConfigError
 
 EXIT_OK = 0
@@ -52,12 +52,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="run the randomized oracle suites")
     p_val.add_argument("--instances", type=_nonnegative_int, default=10_000,
                        help="scheduler instances (default 10000)")
-    p_val.add_argument("--cases", type=_nonnegative_int, default=1000, help="line-search cases (default 1000)")
+    p_val.add_argument("--cases", type=_nonnegative_int, default=1000, help="gamma cases (default 1000)")
     p_val.add_argument("--seed", type=_nonnegative_int, default=7)
 
     p_topo = sub.add_parser("topology", help="generate a topology and dump nodes/gains CSVs")
     _add_common(p_topo)
     return parser
+
+
+def _config(args: argparse.Namespace) -> SimConfig:
+    """The config the common options give, after rejecting an --out whose nearest existing path is no directory."""
+    path = os.path.abspath(args.out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"--out {args.out!r}: {path!r} exists and is not a directory")
+    return config_from_sources(args.config, args.overrides, args.seed)
 
 
 def _means(result: engine.SimResult) -> tuple[float, float, float]:
@@ -72,7 +82,7 @@ def _means(result: engine.SimResult) -> tuple[float, float, float]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = config_from_sources(args.config, args.overrides, args.seed)
+    cfg = _config(args)
     result = engine.run(cfg, collect_traces=args.trace)
     engine.write_summary_csv(result, os.path.join(args.out, "summary.csv"))
     engine.write_run_csv(result, cfg, os.path.join(args.out, "run.csv"))
@@ -86,7 +96,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = config_from_sources(args.config, args.overrides, args.seed)
+    cfg = _config(args)
     values: list[str] = []
     for v in args.values.split(","):
         v = v.strip()
@@ -124,7 +134,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_topology(args: argparse.Namespace) -> int:
-    cfg = config_from_sources(args.config, args.overrides, args.seed)
+    cfg = _config(args)
     graph = engine.build_network(cfg, np.random.SeedSequence(cfg.seed).spawn(3)[0])
     nodes = [["helper", i, repr(x), repr(y)] for i, (x, y) in enumerate(graph.helpers.tolist())]
     nodes += [["user", i, repr(x), repr(y)] for i, (x, y) in enumerate(graph.users.tolist())]

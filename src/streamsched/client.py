@@ -22,10 +22,6 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 from .video import QualityRateProfile
 
-GOLDEN_SECTION_TOL = 1e-9
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 @dataclass
 class RequestQueueState:
     """Request-queue backlog, virtual queue, and the head-of-line chunk cursor.
@@ -132,36 +128,23 @@ def drain_bits(qs: RequestQueueState, delivered_bits: int) -> list[int]:
 def optimize_gamma(theta: float, cfg: UtilityConfig, d_min: float, d_max: float) -> float:
     """Maximize v * utility(gamma) - theta * gamma over [d_min, d_max].
 
-    alpha=1 admits the closed form clamp(v / theta); other alphas use a
-    golden-section search (the objective is concave). theta >= 0 and
-    0 < d_min < d_max hold: update_virtual_queue and VideoSpec ensure them.
+    The objective is concave, so for every alpha > 0 the maximizer is the
+    stationary point (v / theta) ** (1 / alpha) clamped to the range; linear
+    utility (alpha=0) takes an endpoint. theta >= 0 and 0 < d_min < d_max
+    hold: update_virtual_queue and VideoSpec ensure them.
     """
     if theta == 0.0:
         return d_max
-    if cfg.alpha == 1.0:
-        return min(max(cfg.v / theta, d_min), d_max)
-
-    def objective(g: float) -> float:
-        return cfg.v * utility(cfg.alpha, g) - theta * g
-
-    lo, hi = d_min, d_max
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    while hi - lo > GOLDEN_SECTION_TOL:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = objective(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = objective(x2)
-    # Boundary optima are common (the clamp); snap to an endpoint when it wins.
-    return max((0.5 * (lo + hi), d_min, d_max), key=objective)
+    if cfg.alpha == 0.0:
+        return d_max if cfg.v > theta else d_min
+    try:
+        stationary = (cfg.v / theta) ** (1.0 / cfg.alpha)
+    except OverflowError:  # a stationary point beyond the float range lies above d_max
+        return d_max
+    return min(max(stationary, d_min), d_max)
 
 
-def update_virtual_queue(qs: RequestQueueState, gamma: float, delivered_quality: float) -> float:
+def update_virtual_queue(qs: RequestQueueState, gamma: float, requested_quality: float) -> float:
     """Advance theta by gamma minus the quality requested this slot, floored at zero."""
-    qs.theta = max(qs.theta + gamma - delivered_quality, 0.0)
+    qs.theta = max(qs.theta + gamma - requested_quality, 0.0)
     return qs.theta

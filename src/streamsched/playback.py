@@ -75,9 +75,8 @@ def window_max_delay(ps: PlaybackState, i: int) -> float:
     cutoff = i - ps.window_size + 1
     while ps.recent and ps.recent[0][0] < cutoff:
         ps.recent.popleft()
-    in_window = [w for (a, w) in ps.recent if a <= i]
-    if in_window:
-        ps.e_last = float(max(in_window))
+    if ps.recent:
+        ps.e_last = float(max(w for _, w in ps.recent))
     return ps.e_last
 
 

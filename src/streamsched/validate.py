@@ -1,8 +1,8 @@
-"""Randomized oracle suites for the scheduler, the line search, and the request queue.
+"""Randomized oracle suites for the scheduler, the gamma optimizer, and the request queue.
 
 These are the checks behind `streamsched validate`: the greedy subset
-selection must match exhaustive enumeration exactly, the golden-section search
-must match the analytic clamp forms, and the request-queue cursor and
+selection must match exhaustive enumeration exactly, gamma must match the
+analytic clamps written out per alpha, and the request-queue cursor and
 counters must stay consistent under arbitrary request/drain interleavings.
 """
 from __future__ import annotations
@@ -95,7 +95,7 @@ def greedy_vs_exhaustive(instances: int = 10_000, seed: int = 7) -> SuiteResult:
 
 
 def gamma_closed_form(cases: int = 1000, seed: int = 11) -> SuiteResult:
-    """Line search vs analytic clamp: exact for alpha=1, within 1e-6 for alpha=2."""
+    """optimize_gamma vs the clamp per alpha: exact for alpha=1; 1e-6 for alpha=2, where sqrt and ** 0.5 may differ."""
     rng = np.random.default_rng(seed)
     passed = 0
     failure = None

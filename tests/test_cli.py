@@ -247,3 +247,24 @@ def test_topology_dump(config_file, tmp_path):
 def test_usage_error_exits_2():
     assert main(["frobnicate"]) == 2
     assert main(["sweep", "--param", "V"]) == 2  # missing --values
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "topology"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "under_file"])
+def test_out_naming_a_file_exits_2_before_simulating(monkeypatch, tmp_path, capsys, command, below):
+    from streamsched import engine
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("simulated before --out was checked")
+
+    monkeypatch.setattr(engine, "run", not_called)
+    monkeypatch.setattr(engine, "build_network", not_called)
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    out = afile / "sub" if below else afile
+    extra = ["--param", "V", "--values", "1e2"] if command == "sweep" else []
+    rc = main([command, "--out", str(out), "--set", "topology.mean_users=5", *extra])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and "Traceback" not in err
+    assert afile.read_text() == "keep" and [p.name for p in tmp_path.iterdir()] == ["afile"]

@@ -177,9 +177,39 @@ def test_optimize_gamma_alpha_half_matches_closed_form():
 
 
 def test_optimize_gamma_linear_utility_hits_boundary():
-    # alpha=0: objective (v - theta) * gamma is monotone; the search must land on an endpoint.
+    # alpha=0: objective (v - theta) * gamma is monotone, so gamma is an endpoint.
     assert optimize_gamma(1.0, UtilityConfig(alpha=0.0, v=5.0), 0.3, 1.0) == pytest.approx(1.0, abs=1e-6)
     assert optimize_gamma(5.0, UtilityConfig(alpha=0.0, v=1.0), 0.3, 1.0) == pytest.approx(0.3, abs=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0])
+def test_optimize_gamma_interior_is_stationary_point(alpha):
+    # d/dgamma of v * utility(alpha, gamma) - theta * gamma is v * gamma ** -alpha - theta.
+    rng = np.random.default_rng(14)
+    checked = 0
+    for _ in range(2000):
+        v = float(10.0 ** rng.uniform(-2, 4))
+        theta = float(10.0 ** rng.uniform(-2, 4))
+        got = optimize_gamma(theta, UtilityConfig(alpha=alpha, v=v), 0.05, 1.5)
+        if 0.05 < got < 1.5:
+            checked += 1
+            assert abs(v * got ** -alpha - theta) <= 1e-12 * theta, (v, theta, got)
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("theta,cfg,expected", [
+    (1.0, UtilityConfig(alpha=0.05, v=1e20), 1.0),  # (1e20) ** 20 overflows a float
+    (5e-324, UtilityConfig(alpha=1.0, v=2e14), 1.0),  # v / theta is inf
+    (5e-324, UtilityConfig(alpha=2.0, v=2e14), 1.0),
+    (1e8, UtilityConfig(alpha=1.0, v=5e-324), 0.3),  # v / theta underflows to 0
+    (1e8, UtilityConfig(alpha=3.0, v=5e-324), 0.3),
+    (2.0, UtilityConfig(alpha=0.0, v=2.0), None),  # linear utility with v == theta: any gamma is optimal
+])
+def test_optimize_gamma_extreme_inputs_stay_in_range(theta, cfg, expected):
+    got = optimize_gamma(theta, cfg, 0.3, 1.0)
+    assert 0.3 <= got <= 1.0
+    if expected is not None:
+        assert got == expected
 
 
 def test_gamma_maximizes_over_fine_grid():
