@@ -138,6 +138,11 @@ class RunState:
         v = cfg.video
         self.profile = synth_catalog(v.segments, seed_catalog, d_min=v.d_min, d_max=v.d_max, sigma=v.sigma,
                                      ladder_ratio=v.ladder_ratio, t_gop_seconds=cfg.t_gop_seconds)
+        # A backlog is a float, exact only while a session's requested bits stay below 2**53.
+        session_max = cfg.session_chunks * max(sizes[-1] for sizes in self.profile.size_bits)
+        if session_max >= 2**53:
+            raise ConfigError(f"video.segments: a session of {cfg.session_chunks} chunks could request up to "
+                              f"{session_max} bits; backlogs count bits exactly only below 2**53")
         self.starts = np.random.default_rng(seed_starts).integers(0, self.profile.num_chunks, size=n_users).tolist()
         self.queues = [cl.RequestQueueState() for _ in range(n_users)]
         p = cfg.playback
@@ -319,13 +324,14 @@ def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = F
 
 
 def sweep(cfg: SimConfig, parameter: str, values: Sequence) -> list[tuple[object, SimResult]]:
-    """Run once per value of a named parameter, sharing the base seed."""
+    """Run once per value of a named parameter, sharing the base seed; every value is checked before any run."""
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"unknown sweep parameter {parameter!r}; known: {sorted(SWEEP_PARAMETERS)}")
     if not values:
         raise ConfigError("sweep requires at least one value")
     key = SWEEP_PARAMETERS[parameter]
-    return [(value, run(with_key(cfg, key, value))) for value in values]
+    configs = [with_key(cfg, key, value) for value in values]
+    return [(value, run(value_cfg)) for value, value_cfg in zip(values, configs)]
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,10 @@ class MimoConfig:
             raise ConfigError("mimo.m: antennas must be positive")
         if not 1 <= self.s_max <= self.antennas:
             raise ConfigError("mimo.s_max must lie in [1, mimo.m]")
-        if self.symbols_per_slot < 1:
-            raise ConfigError("mimo.symbols_per_slot must be positive")
+        # At most 2**40 symbols keep every budget of a rate under 1024 bits/symbol below 2**50,
+        # exact as an int64 and as a float.
+        if not 1 <= self.symbols_per_slot <= 2**40:
+            raise ConfigError("mimo.symbols_per_slot must lie in [1, 2**40]")
 
 
 def sinr_matrix(state: TopologyState, graph: NetworkGraph) -> np.ndarray:

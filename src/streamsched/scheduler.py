@@ -6,18 +6,17 @@ S is the top-S users by weighted rate, and scanning S = 1..s_max is optimal.
 Only the top s_max users of each row can matter, so `greedy_from_rates`
 partitions each row for them and sorts just that small block, ranking them
 exactly as a stable sort of the whole row would.
-An exhaustive enumerator over all subsets serves as the testing oracle, and a
+The exhaustive enumerator `exhaustive_select(weights, rows, ids)` takes the
+greedy kernel's inputs and serves as the testing oracle, and a
 queue-oblivious max-RSSI + round-robin scheme serves as the baseline.
 
 The hardened rate model `log2(1 + ((M - S + 1) / S) * sinr)` of `phy` is
 evaluated in one place, `helper_rate_rows`. `helper_tables` turns those rows
 into per-helper bit budgets, and both per-slot policies, `max_weight_slot` and
 `round_robin_slot`, read their bits from those tables. The engine schedules
-with these functions, and the tests and `streamsched validate` check them.
-
-Both the greedy path and the oracle draw their per-user weighted rates from
-the same precomputed rate rows and sum them in ascending user-id order, so
-their objectives are comparable bit-for-bit.
+with these functions; the tests and `streamsched validate` check the greedy
+kernel against the oracle on the same table, comparing subsets, or their
+objectives as exact rationals when optimal subsets tie.
 """
 from __future__ import annotations
 
@@ -83,8 +82,7 @@ def greedy_from_rates(weights: np.ndarray, rows: np.ndarray, ids: np.ndarray) ->
     s_eff users have nonzero weight, is stably sorted whole instead
     (O(N log N) for that row). This ranks exactly as a stable sort of the
     full row, and the prefix sums run over the same values in the same order.
-    The returned objective sums the chosen users' weighted rates in
-    ascending-id order, the same reduction the exhaustive oracle uses.
+    The returned objective is the winning prefix sum.
     """
     if not len(ids):
         return (), 0.0
@@ -96,8 +94,7 @@ def greedy_from_rates(weights: np.ndarray, rows: np.ndarray, ids: np.ndarray) ->
     objectives = np.cumsum(ranked, axis=1)[diag, diag]
     best_s = int(np.argmax(objectives))  # first max, so ties go to the smaller size
     chosen = np.sort(order[best_s, : best_s + 1])
-    objective = _ordered_sum(weighted[best_s], chosen)
-    return tuple(ids[chosen].tolist()), objective
+    return tuple(ids[chosen].tolist()), float(objectives[best_s])
 
 
 def _top_k_order(weighted: np.ndarray, k: int) -> np.ndarray:
@@ -122,40 +119,28 @@ def _top_k_order(weighted: np.ndarray, k: int) -> np.ndarray:
     return order
 
 
-def exhaustive_select(
-    h: int,
-    weights: np.ndarray,
-    state: TopologyState,
-    graph: NetworkGraph,
-    cfg: MimoConfig,
-) -> tuple[tuple[int, ...], float]:
-    """Exact argmax over every nonempty subset of the neighborhood; testing oracle."""
-    ids, rows = helper_rate_rows(h, state, graph, cfg.s_max)
+def exhaustive_select(weights: np.ndarray, rows: np.ndarray, ids: np.ndarray) -> tuple[tuple[int, ...], float]:
+    """Exact argmax over every nonempty subset of a table's users; testing oracle.
+
+    Takes `greedy_from_rates`' inputs. On a float tie the first subset found
+    wins: the smaller size, then the lexicographically lower columns.
+    """
     if len(ids) > EXHAUSTIVE_NEIGHBORHOOD_CAP:
-        raise ValueError(f"neighborhood of helper {h} too large for enumeration ({len(ids)} users)")
+        raise ValueError(f"neighborhood too large for enumeration ({len(ids)} users)")
     if not len(ids):
         return (), 0.0
-    w = np.asarray(weights, dtype=float)[ids]
     best_subset: tuple[int, ...] = ()
     best_obj = -np.inf
-    for s_index in range(rows.shape[0]):
-        size = s_index + 1
-        if size > len(ids):
-            break
-        weighted = w * rows[s_index]
+    for size in range(1, min(rows.shape[0], len(ids)) + 1):
+        weighted = (weights * rows[size - 1]).tolist()
         for combo in itertools.combinations(range(len(ids)), size):
-            objective = _ordered_sum(weighted, combo)
+            objective = 0.0
+            for j in combo:
+                objective += weighted[j]
             if objective > best_obj:
                 best_obj = objective
                 best_subset = tuple(int(ids[j]) for j in combo)
     return best_subset, best_obj
-
-
-def _ordered_sum(weighted: np.ndarray, members) -> float:
-    total = 0.0
-    for j in members:
-        total += float(weighted[j])
-    return total
 
 
 class RateTable(NamedTuple):
@@ -176,7 +161,7 @@ def helper_tables(state: TopologyState, graph: NetworkGraph, cfg: MimoConfig) ->
     sinr = sinr_matrix(state, graph)
     tables = []
     for h in range(len(graph.helpers)):
-        ids, rows = helper_rate_rows(h, state, graph, cfg.s_max, sinr[h])
+        ids, rows = helper_rate_rows(h, state, graph, cfg.s_max, sinr=sinr[h])
         bits = np.floor(rows * cfg.symbols_per_slot).astype(np.int64)
         tables.append(RateTable(ids, rows, bits))
     return tables

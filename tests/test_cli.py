@@ -136,6 +136,9 @@ def test_run_out_of_region_layout_exits_2(config_file, tmp_path, capsys, key, la
     ("receiver", "smart"),
     ("utility.alpha", "-1"),
     ("session_chunks", "0"),
+    # Bit counts that would stop being exact: budgets past int64, chunks past a float backlog's 2**53.
+    ("mimo.symbols_per_slot", "1000000000000000000"),
+    ("video.segments", "10x3@1e14"),
 ])
 def test_run_nonfinite_value_exits_2(config_file, tmp_path, capsys, key, value):
     rc = main(["run", "--config", config_file, "--out", str(tmp_path / "o"), "--set", f"{key}={value}"])
@@ -195,6 +198,19 @@ def test_rejected_config_creates_no_out_dir(tmp_path, capsys, command):
     assert rc == 2
     assert "topology.mean_users" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "o")
+
+
+def test_sweep_checks_every_value_before_simulating(monkeypatch, config_file, tmp_path, capsys):
+    from streamsched import engine
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("simulated before every sweep value was checked")
+
+    monkeypatch.setattr(engine, "run", not_called)
+    rc = main(["sweep", "--config", config_file, "--out", str(tmp_path / "s"), "--param", "M", "--values", "20,0"])
+    assert rc == 2
+    assert "mimo.m" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "s")
 
 
 def test_sweep_records_override_in_run_csv(config_file, tmp_path):

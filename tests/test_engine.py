@@ -204,6 +204,27 @@ def test_scheduler_staleness_accepted():
     assert run(cfg) == res
 
 
+def test_scheduler_staleness_delays_the_weights(monkeypatch):
+    # Slot t's max-weight call reads the backlogs of slot max(t - 3, 0), as its schedule phase saw them.
+    backlogs, weights = [], []
+    schedule, max_weight_slot = engine.RunState.schedule, engine.sched.max_weight_slot
+
+    def recording_schedule(self, t):
+        backlogs.append([qs.q for qs in self.queues])
+        return schedule(self, t)
+
+    def recording_max_weight_slot(tables, w):
+        weights.append(w.tolist())
+        return max_weight_slot(tables, w)
+
+    monkeypatch.setattr(engine.RunState, "schedule", recording_schedule)
+    monkeypatch.setattr(engine.sched, "max_weight_slot", recording_max_weight_slot)
+    res = run(build_config(small_flat(scheduler_staleness=3, session_chunks=60)))
+    assert len(weights) == len(backlogs) == res.slots_run >= 300
+    assert all(weights[t] == backlogs[max(t - 3, 0)] for t in range(res.slots_run))
+    assert sum(weights[t] != backlogs[t] for t in range(res.slots_run)) > res.slots_run // 2
+
+
 def test_baseline_policy_runs_and_finishes():
     cfg = build_config(small_flat(policy="baseline", **{"topology.user_layout": "30:40;50:40"}))
     res = run(cfg, check_invariants=True)

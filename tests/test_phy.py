@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graphs import make_graph
+from streamsched.errors import ConfigError
 from streamsched.phy import MimoConfig, sinr_matrix
 from streamsched.scheduler import helper_rate_rows, helper_tables, max_weight_slot
 
@@ -118,3 +119,9 @@ def test_slot_bits_values():
 
 def test_default_symbols_per_slot():
     assert MimoConfig().symbols_per_slot == 84 * 100 * 20
+
+
+def test_symbols_per_slot_keeps_budgets_exact():
+    assert MimoConfig(symbols_per_slot=2**40).symbols_per_slot == 2**40
+    with pytest.raises(ConfigError, match="mimo.symbols_per_slot"):
+        MimoConfig(symbols_per_slot=2**40 + 1)

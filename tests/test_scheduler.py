@@ -50,14 +50,15 @@ def test_greedy_equals_exhaustive():
 def test_greedy_vs_exhaustive_passes_optimal_subsets_one_ulp_apart(monkeypatch):
     # Users 2 and 5 tie, so (0, 2, 3) and (0, 3, 5) are both optimal; summed in
     # ascending-id order their float objectives differ by 1 ulp (found by a
-    # seeded search over small tied instances).
+    # seeded search over small tied instances), so the oracle keeps the later one.
     graph, state = make_graph([[0.7, 0.3, 0.7, 0.3, 0.3, 0.7]], antennas=20)
     weights = np.array([7e6, 0.0, 1e6, 2.5e6, 0.0, 1e6])
     cfg = MimoConfig(antennas=20, s_max=3, symbols_per_slot=1000)
     table = helper_tables(state, graph, cfg)[0]
-    g_subset, g_obj = greedy_from_rates(weights[table.ids], table.rows, table.ids)
-    e_subset, e_obj = exhaustive_select(0, weights, state, graph, cfg)
-    assert g_subset != e_subset and g_obj != e_obj
+    g_subset, _ = greedy_from_rates(weights[table.ids], table.rows, table.ids)
+    e_subset, _ = exhaustive_select(weights[table.ids], table.rows, table.ids)
+    assert g_subset != e_subset
+    assert validate.exact_objective(g_subset, weights, table) == validate.exact_objective(e_subset, weights, table)
     monkeypatch.setattr(validate, "random_instance", lambda rng: (graph, state, weights, cfg))
     suite = validate.greedy_vs_exhaustive(instances=1)
     assert suite.ok, suite.first_failure
@@ -72,12 +73,10 @@ def _full_sort_greedy(weights, rows, ids):
     order = np.argsort(-weighted, axis=1, kind="stable")
     ranked = np.take_along_axis(weighted, order, axis=1)
     diag = np.arange(s_eff)
-    best_s = int(np.argmax(np.cumsum(ranked, axis=1)[diag, diag]))
+    objectives = np.cumsum(ranked, axis=1)[diag, diag]
+    best_s = int(np.argmax(objectives))
     chosen = np.sort(order[best_s, : best_s + 1])
-    objective = 0.0
-    for j in chosen:
-        objective += float(weighted[best_s, j])
-    return tuple(int(ids[j]) for j in chosen), objective
+    return tuple(int(ids[j]) for j in chosen), float(objectives[best_s])
 
 
 def _tied_instance(rng, n, s_max, kind):
@@ -147,7 +146,7 @@ def test_greedy_equals_exhaustive_on_tied_neighborhoods():
         weights = rng.choice([0.0, 0.0, 1.0, 2.5, 7.0], n) * 10.0 ** int(rng.integers(0, 7))
         table = helper_tables(state, graph, cfg)[0]
         g_subset, _ = greedy_from_rates(weights[table.ids], table.rows, table.ids)
-        e_subset, _ = exhaustive_select(0, weights, state, graph, cfg)
+        e_subset, _ = exhaustive_select(weights[table.ids], table.rows, table.ids)
         assert validate.exact_objective(g_subset, weights, table) == validate.exact_objective(e_subset, weights, table)
 
 
@@ -164,8 +163,9 @@ def test_weight_scaling_leaves_subset_unchanged():
 
 def test_exhaustive_neighborhood_cap():
     graph, state = make_graph(np.ones((1, 21)))
+    ids, rows, _ = helper_tables(state, graph, CFG)[0]
     with pytest.raises(ValueError):
-        exhaustive_select(0, np.ones(21), state, graph, CFG)
+        exhaustive_select(np.ones(21), rows, ids)
 
 
 def test_exhaustive_su_reduction():
@@ -175,7 +175,8 @@ def test_exhaustive_su_reduction():
     weights = rng.uniform(0, 5, 6)
     graph, state = make_graph(gains)
     cfg = MimoConfig(antennas=8, s_max=1, symbols_per_slot=1000)
-    subset, _ = exhaustive_select(0, weights, state, graph, cfg)
+    ids, rows, _ = helper_tables(state, graph, cfg)[0]
+    subset, _ = exhaustive_select(weights[ids], rows, ids)
     scores = weights * np.log2(1 + 8 * 20.0 * gains[0])
     assert subset == (int(np.argmax(scores)),)
 
@@ -193,9 +194,10 @@ def test_schedule_network_decouples_disjoint_neighborhoods():
     adjacency = gains > 0
     graph, state = make_graph(gains, adjacency=adjacency)
     weights = np.array([1.0, 2.0, 3.0, 4.0])
-    _, subsets = max_weight_slot(helper_tables(state, graph, CFG), weights)
-    for h in (0, 1):
-        solo = exhaustive_select(h, weights, state, graph, CFG)[0]
+    tables = helper_tables(state, graph, CFG)
+    _, subsets = max_weight_slot(tables, weights)
+    for h, (ids, rows, _) in enumerate(tables):
+        solo = exhaustive_select(weights[ids], rows, ids)[0]
         assert subsets[h] == solo
         assert set(solo) <= set(np.flatnonzero(adjacency[h]))
 
