@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import engine, topology as topo, validate
-from .config import SimConfig, config_from_sources, config_hash, with_key
+from .config import SimConfig, config_from_sources, config_hash
 from .errors import ConfigError
 
 EXIT_OK = 0
@@ -42,21 +42,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one simulation and write summary/run CSVs")
     _add_common(p_run)
     p_run.add_argument("--trace", action="store_true", help="also write per-slot trace CSVs")
+    p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run once per value of a named parameter")
     _add_common(p_sweep)
     p_sweep.add_argument("--param", required=True, choices=sorted(engine.SWEEP_PARAMETERS),
                          help="parameter to sweep")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
+    p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="run the randomized oracle suites")
     p_val.add_argument("--instances", type=_nonnegative_int, default=10_000,
                        help="scheduler instances (default 10000)")
     p_val.add_argument("--cases", type=_nonnegative_int, default=1000, help="gamma cases (default 1000)")
     p_val.add_argument("--seed", type=_nonnegative_int, default=7)
+    p_val.set_defaults(func=cmd_validate)
 
     p_topo = sub.add_parser("topology", help="generate a topology and dump nodes/gains CSVs")
     _add_common(p_topo)
+    p_topo.set_defaults(func=cmd_topology)
     return parser
 
 
@@ -106,10 +110,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             values.append(v)
     results = engine.sweep(cfg, args.param, values)
     rows = []
-    for value, result in results:
+    for value, run_cfg, result in results:
         subdir = os.path.join(args.out, f"{args.param}={value}")
         engine.write_summary_csv(result, os.path.join(subdir, "summary.csv"))
-        run_cfg = with_key(cfg, engine.SWEEP_PARAMETERS[args.param], value)
         engine.write_run_csv(result, run_cfg, os.path.join(subdir, "run.csv"))
         quality, delay, buffering = _means(result)
         rows.append([value, f"{result.utility:.10g}", f"{quality:.6g}", f"{delay:.6g}", f"{buffering:.6g}",
@@ -135,7 +138,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_topology(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    graph = engine.build_network(cfg, np.random.SeedSequence(cfg.seed).spawn(3)[0])
+    graph = engine.build_network(cfg, engine.run_seeds(cfg)[0])
     nodes = [["helper", i, repr(x), repr(y)] for i, (x, y) in enumerate(graph.helpers.tolist())]
     nodes += [["user", i, repr(x), repr(y)] for i, (x, y) in enumerate(graph.users.tolist())]
     gains = topo.topology_state(graph).gains.tolist()
@@ -154,18 +157,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "validate":
-            return cmd_validate(args)
-        if args.command == "topology":
-            return cmd_topology(args)
+        return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

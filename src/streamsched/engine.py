@@ -82,6 +82,11 @@ class SimResult:
     traces: dict | None = None
 
 
+def run_seeds(cfg: SimConfig) -> list[np.random.SeedSequence]:
+    """The user, catalog and start seeds a run splits from cfg.seed; the user seed places the network."""
+    return np.random.SeedSequence(cfg.seed).spawn(3)
+
+
 def build_network(cfg: SimConfig, seed_users: np.random.SeedSequence) -> topo.NetworkGraph:
     """Helpers from the configured layout plus Poisson-placed users."""
     spec = cfg.topology
@@ -132,7 +137,7 @@ class RunState:
 
     def __init__(self, cfg: SimConfig, collect_traces: bool = False) -> None:
         self.cfg = cfg
-        seed_users, seed_catalog, seed_starts = np.random.SeedSequence(cfg.seed).spawn(3)
+        seed_users, seed_catalog, seed_starts = run_seeds(cfg)
         self.graph = graph = build_network(cfg, seed_users)
         self.n_users = n_users = len(graph.users)
         v = cfg.video
@@ -156,7 +161,7 @@ class RunState:
         state = topo.topology_state(graph, 0, self.mobility)
         self.tables = sched.helper_tables(state, graph, cfg.mimo)
         if cfg.policy == "baseline":
-            self.rr = sched.build_round_robin(sched.max_rssi_associate(state, graph), graph)
+            self.rr = sched.RoundRobinState(state, graph)
         self.weight_history: deque[np.ndarray] = deque(maxlen=cfg.scheduler_staleness + 1)
         self.sum_q = np.zeros(n_users)
         self.sum_theta = np.zeros(n_users)
@@ -323,15 +328,20 @@ def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = F
     return st.result(t, drain_complete)
 
 
-def sweep(cfg: SimConfig, parameter: str, values: Sequence) -> list[tuple[object, SimResult]]:
-    """Run once per value of a named parameter, sharing the base seed; every value is checked before any run."""
+def sweep(cfg: SimConfig, parameter: str, values: Sequence) -> list[tuple[object, SimConfig, SimResult]]:
+    """Run once per value of a named parameter, sharing the base seed; returns (value, config, result) triples.
+
+    Every value's config and network are built, and so checked, before any run.
+    """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"unknown sweep parameter {parameter!r}; known: {sorted(SWEEP_PARAMETERS)}")
     if not values:
         raise ConfigError("sweep requires at least one value")
     key = SWEEP_PARAMETERS[parameter]
     configs = [with_key(cfg, key, value) for value in values]
-    return [(value, run(value_cfg)) for value, value_cfg in zip(values, configs)]
+    for value_cfg in configs:
+        build_network(value_cfg, run_seeds(value_cfg)[0])
+    return [(value, value_cfg, run(value_cfg)) for value, value_cfg in zip(values, configs)]
 
 
 # ---------------------------------------------------------------------------

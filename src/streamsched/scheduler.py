@@ -7,8 +7,9 @@ Only the top s_max users of each row can matter, so `greedy_from_rates`
 partitions each row for them and sorts just that small block, ranking them
 exactly as a stable sort of the whole row would.
 The exhaustive enumerator `exhaustive_select(weights, rows, ids)` takes the
-greedy kernel's inputs and serves as the testing oracle, and a
-queue-oblivious max-RSSI + round-robin scheme serves as the baseline.
+greedy kernel's inputs and serves as the testing oracle. The queue-oblivious
+baseline is one class, `RoundRobinState(state, graph)`: it associates each
+user with its max-RSSI helper and rotates over each helper's users.
 
 The hardened rate model `log2(1 + ((M - S + 1) / S) * sinr)` of `phy` is
 evaluated in one place, `helper_rate_rows`. `helper_tables` turns those rows
@@ -21,7 +22,6 @@ objectives as exact rationals when optimal subsets tie.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -32,19 +32,29 @@ from .topology import NetworkGraph, TopologyState
 EXHAUSTIVE_NEIGHBORHOOD_CAP = 20
 
 
-@dataclass
 class RoundRobinState:
-    """Per-helper rotating cursor over its associated users."""
+    """The baseline's max-RSSI association and per-helper rotating cursors.
 
-    users_by_helper: dict[int, list[int]]
-    cursors: dict[int, int] = field(default_factory=dict)
+    Each user is associated with the helper of strongest received power
+    (tx_power * gain) among its edges, the lower helper id on a tie. An edge
+    is the eligibility rule helper_rate_rows uses, so every associated user
+    has a column in its helper's table; `NetworkGraph` gives every user at
+    least one edge.
+    """
+
+    def __init__(self, state: TopologyState, graph: NetworkGraph) -> None:
+        rssi = np.where(graph.adjacency, graph.tx_power[:, None] * state.gains, -np.inf)
+        helper_of = rssi.argmax(axis=0)
+        self.users = [np.flatnonzero(helper_of == h).tolist() for h in range(len(graph.helpers))]
+        self.cursors = [0] * len(self.users)
 
     def next_user(self, h: int) -> int | None:
-        users = self.users_by_helper.get(h)
+        """Helper h's next associated user in ascending-id rotation, None if it has none."""
+        users = self.users[h]
         if not users:
             return None
-        cursor = self.cursors.get(h, 0) % len(users)
-        self.cursors[h] = cursor + 1
+        cursor = self.cursors[h]
+        self.cursors[h] = (cursor + 1) % len(users)
         return users[cursor]
 
 
@@ -59,8 +69,6 @@ def helper_rate_rows(
     already has it; otherwise it is computed here.
     """
     ids = np.flatnonzero(graph.adjacency[h])
-    if not len(ids):
-        return ids, np.empty((0, 0))
     if sinr is None:
         sinr = sinr_matrix(state, graph)[h]
     sinr_vec = sinr[ids]
@@ -206,20 +214,3 @@ def round_robin_slot(
 def aggregate_per_user(per_edge_bits: np.ndarray, receiver_model: str) -> np.ndarray:
     return per_edge_bits.sum(axis=0) if receiver_model == "advanced" else per_edge_bits.max(axis=0)
 
-
-def max_rssi_associate(state: TopologyState, graph: NetworkGraph) -> np.ndarray:
-    """Map each user to the helper with the strongest received power among its edges.
-
-    An edge is the eligibility rule helper_rate_rows uses, so every associated
-    user has a column in its helper's table; `NetworkGraph` gives every user
-    at least one edge.
-    """
-    rssi = np.where(graph.adjacency, graph.tx_power[:, None] * state.gains, -np.inf)
-    return rssi.argmax(axis=0)
-
-
-def build_round_robin(associations: np.ndarray, graph: NetworkGraph) -> RoundRobinState:
-    users_by_helper: dict[int, list[int]] = {h: [] for h in range(len(graph.helpers))}
-    for u, h in enumerate(associations):
-        users_by_helper[int(h)].append(u)
-    return RoundRobinState(users_by_helper=users_by_helper)

@@ -76,9 +76,9 @@ def torus_distance(a: ArrayLike, b: ArrayLike, side: float) -> float | np.ndarra
     return np.sqrt(delta[..., 0] * delta[..., 0] + delta[..., 1] * delta[..., 1])
 
 
-def pathloss_gain(d: float, ref_distance: float = PATHLOSS_REF_DISTANCE_M, exponent: float = PATHLOSS_EXPONENT) -> float:
+def pathloss_gain(d: float) -> float:
     """Linear power gain 1 / (1 + (d / d0)^eta) at distance d meters."""
-    return 1.0 / (1.0 + (d / ref_distance) ** exponent)
+    return 1.0 / (1.0 + (d / PATHLOSS_REF_DISTANCE_M) ** PATHLOSS_EXPONENT)
 
 
 def place_users(

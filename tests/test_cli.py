@@ -207,10 +207,18 @@ def test_sweep_checks_every_value_before_simulating(monkeypatch, config_file, tm
         raise AssertionError("simulated before every sweep value was checked")
 
     monkeypatch.setattr(engine, "run", not_called)
-    rc = main(["sweep", "--config", config_file, "--out", str(tmp_path / "s"), "--param", "M", "--values", "20,0"])
-    assert rc == 2
-    assert "mimo.m" in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "s")
+    cases = [
+        ([], "M", "20,0", "mimo.m"),
+        # Only building the network finds the zero-user draw.
+        (["--set", "topology.user_layout=poisson", "--set", "topology.mean_users=30"], "userCount", "30,0",
+         "topology.mean_users"),
+    ]
+    for extra, param, values, key in cases:
+        rc = main(["sweep", "--config", config_file, "--out", str(tmp_path / "s"), *extra, "--param", param,
+                   "--values", values])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "s")
 
 
 def test_sweep_records_override_in_run_csv(config_file, tmp_path):

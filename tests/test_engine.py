@@ -97,15 +97,15 @@ def test_paired_runs_share_topology_and_catalog():
 def test_sweep_shares_seed_and_keys_results():
     cfg = build_config(small_flat())
     results = sweep(cfg, "V", ["1e2", "1e4", "1e6"])
-    assert [v for v, _ in results] == ["1e2", "1e4", "1e6"]
-    hashes = {r.config_hash for _, r in results}
+    assert [v for v, _, _ in results] == ["1e2", "1e4", "1e6"]
+    hashes = {r.config_hash for _, _, r in results}
     assert len(hashes) == 3  # different configs
-    assert len({r.seed for _, r in results}) == 1
+    assert len({r.seed for _, _, r in results}) == 1
 
 
 def test_sweep_policy_pairing():
     cfg = build_config(small_flat(**{"topology.user_layout": "poisson", "topology.mean_users": "6"}))
-    results = dict(sweep(cfg, "policy", ["dpp", "baseline"]))
+    results = {v: r for v, _, r in sweep(cfg, "policy", ["dpp", "baseline"])}
     assert results["dpp"].policy == "dpp"
     assert results["baseline"].policy == "baseline"
 

@@ -6,7 +6,7 @@ import pytest
 from graphs import make_graph
 from streamsched.errors import ConfigError
 from streamsched.phy import MimoConfig, sinr_matrix
-from streamsched.scheduler import helper_rate_rows, helper_tables, max_weight_slot
+from streamsched.scheduler import RoundRobinState, helper_rate_rows, helper_tables, max_weight_slot, round_robin_slot
 
 
 def test_sinr_single_helper_no_interference(single_link):
@@ -67,11 +67,14 @@ def test_rate_domain_errors(s, m):
 
 
 def test_subset_rates_empty_subset():
-    # A helper with no eligible user has an empty table and serves nobody.
+    # A helper with no eligible user has an empty table and serves nobody, under either policy.
     graph, state = make_graph(np.full((2, 3), 0.5), adjacency=[[False] * 3, [True] * 3])
     tables = helper_tables(state, graph, MimoConfig(antennas=8, s_max=4, symbols_per_slot=1000))
     assert len(tables[0].ids) == 0 and tables[0].bits.size == 0
     per_edge, subsets = max_weight_slot(tables, np.ones(3))
+    assert subsets[0] == ()
+    assert per_edge[0].sum() == 0
+    per_edge, subsets = round_robin_slot(RoundRobinState(state, graph), tables, 3)
     assert subsets[0] == ()
     assert per_edge[0].sum() == 0
 

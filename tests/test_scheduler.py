@@ -7,13 +7,12 @@ from graphs import make_graph
 from streamsched import validate
 from streamsched.phy import MimoConfig
 from streamsched.scheduler import (
+    RoundRobinState,
     aggregate_per_user,
-    build_round_robin,
     exhaustive_select,
     greedy_from_rates,
     helper_rate_rows,
     helper_tables,
-    max_rssi_associate,
     max_weight_slot,
     round_robin_slot,
 )
@@ -248,23 +247,22 @@ def test_availability_mask_blocks_scheduling():
 
 def test_max_rssi_single_helper_and_ties():
     graph, state = make_graph(np.array([[0.3, 0.9]]))
-    assert list(max_rssi_associate(state, graph)) == [0, 0]
+    assert RoundRobinState(state, graph).users == [[0, 1]]
     graph2, state2 = make_graph(np.array([[0.5, 1.0], [0.5, 0.2]]))
-    assert list(max_rssi_associate(state2, graph2)) == [0, 0]  # tie on user 0 -> lower id
+    assert RoundRobinState(state2, graph2).users == [[0, 1], []]  # tie on user 0 -> lower id
 
 
 def test_max_rssi_colocated_user():
     graph, state = make_graph(np.array([[0.2], [1.0]]))
-    assert max_rssi_associate(state, graph)[0] == 1
+    assert RoundRobinState(state, graph).users == [[], [0]]
 
 
 def test_max_rssi_skips_helpers_without_the_file():
     # User 0's strongest helper has no edge to it, so the weaker one serves it.
     adjacency = np.array([[True, True], [False, True]])
     graph, state = make_graph(np.array([[0.2, 0.5], [1.0, 0.9]]), adjacency=adjacency)
-    assoc = max_rssi_associate(state, graph)
-    assert list(assoc) == [0, 1]
-    rr = build_round_robin(assoc, graph)
+    rr = RoundRobinState(state, graph)
+    assert rr.users == [[0], [1]]
     for _ in range(3):
         per_edge, subsets = round_robin_slot(rr, helper_tables(state, graph, CFG), 2)
         assert subsets == [(0,), (1,)]
@@ -274,7 +272,8 @@ def test_max_rssi_skips_helpers_without_the_file():
 def test_baseline_round_robin_period():
     gains = np.full((1, 3), 0.5)
     graph, state = make_graph(gains)
-    rr = build_round_robin(np.zeros(3, dtype=int), graph)
+    rr = RoundRobinState(state, graph)
+    assert rr.users == [[0, 1, 2]]
     tables = helper_tables(state, graph, MimoConfig(antennas=8, s_max=2, symbols_per_slot=1000))
     served = [round_robin_slot(rr, tables, 3)[1][0][0] for _ in range(6)]
     assert served == [0, 1, 2, 0, 1, 2]
@@ -287,8 +286,7 @@ def test_round_robin_bits_are_the_su_mimo_budget():
     powers = rng.uniform(1, 40, 3)
     graph, state = make_graph(gains, tx_powers=powers)
     cfg = MimoConfig(antennas=8, s_max=4, symbols_per_slot=168_000)
-    assoc = max_rssi_associate(state, graph)
-    rr = build_round_robin(assoc, graph)
+    rr = RoundRobinState(state, graph)
     tables = helper_tables(state, graph, cfg)
     served = set()
     for _ in range(7):
@@ -304,11 +302,11 @@ def test_round_robin_bits_are_the_su_mimo_budget():
 
 def test_baseline_is_queue_oblivious():
     # No weights argument exists; the schedule replays identically however queues look.
-    gains = np.full((2, 4), 0.5)
+    gains = np.array([[0.5, 0.5, 0.1, 0.1], [0.1, 0.1, 0.5, 0.5]])
     graph, state = make_graph(gains)
-    assoc = np.array([0, 0, 1, 1])
-    a = build_round_robin(assoc, graph)
-    b = build_round_robin(assoc, graph)
+    a = RoundRobinState(state, graph)
+    b = RoundRobinState(state, graph)
+    assert a.users == [[0, 1], [2, 3]]
     tables = helper_tables(state, graph, MimoConfig(antennas=8, s_max=2, symbols_per_slot=1000))
     for _ in range(5):
         bits_a, _ = round_robin_slot(a, tables, 4)
@@ -319,7 +317,8 @@ def test_baseline_is_queue_oblivious():
 def test_baseline_single_user_every_slot_and_idle_helper():
     gains = np.full((2, 1), 0.5)
     graph, state = make_graph(gains)
-    rr = build_round_robin(np.array([0]), graph)
+    rr = RoundRobinState(state, graph)
+    assert rr.users == [[0], []]
     tables = helper_tables(state, graph, MimoConfig(antennas=8, s_max=2, symbols_per_slot=1000))
     for _ in range(4):
         per_edge, subsets = round_robin_slot(rr, tables, 1)
