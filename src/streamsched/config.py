@@ -1,9 +1,11 @@
 """Simulation configuration: defaults, flat key-value files, dotted overrides.
 
-The canonical form of a configuration is a flat string map (the same keys the
-config file and --set overrides use); `build_config` turns that map into typed
-dataclasses and validates it. Hashing the flat map gives a stable provenance
-tag for output files.
+The dataclasses below declare every default; `SimConfig()` is the default
+configuration. A config file and --set overrides give `key = value` settings,
+and `build_config` parses the given keys into typed dataclasses and validates
+them. The canonical form of a configuration is its full flat string map
+(`flatten_config`), and hashing it gives a stable provenance tag for output
+files.
 
 Each key is the dotted path of a dataclass field (`topology.side_m` is
 `SimConfig.topology.side_m`) and its string codec follows the field's type;
@@ -208,11 +210,6 @@ def _key_table() -> tuple[dict[str, type], dict[str, _Key]]:
 _SECTIONS, _KEYS = _key_table()
 
 
-def default_flat() -> dict[str, str]:
-    """The default configuration as a flat key -> string map."""
-    return flatten_config(SimConfig())
-
-
 def flatten_config(cfg: SimConfig) -> dict[str, str]:
     flat = {}
     for key, spec in _KEYS.items():
@@ -222,16 +219,17 @@ def flatten_config(cfg: SimConfig) -> dict[str, str]:
 
 
 def build_config(flat: dict[str, str]) -> SimConfig:
-    """Construct and validate a SimConfig from a flat string map."""
-    merged = default_flat()
-    for key, raw in flat.items():
-        if key not in _KEYS:
-            raise ConfigError(f"unknown configuration key: {key!r}")
-        merged[key] = raw
+    """Construct and validate a SimConfig from a flat string map.
+
+    Only the given keys are parsed; every other field keeps its dataclass
+    default. This is the one place an unknown key is rejected.
+    """
     top: dict[str, object] = {}
     grouped: dict[str, dict[str, object]] = {section: {} for section in _SECTIONS}
-    for key, raw in merged.items():
-        spec = _KEYS[key]
+    for key, raw in flat.items():
+        spec = _KEYS.get(key)
+        if spec is None:
+            raise ConfigError(f"unknown configuration key: {key!r}")
         try:
             value = spec.parse(raw)
         except ConfigError:
@@ -247,33 +245,24 @@ def with_key(cfg: SimConfig, key: str, value: object) -> SimConfig:
     return build_config({**flatten_config(cfg), key: str(value)})
 
 
-def parse_config_file(path: str) -> list[tuple[str, str]]:
-    """Read 'key = value' lines; '#' starts a comment, blank lines are skipped."""
-    pairs: list[tuple[str, str]] = []
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                stripped = line.split("#", 1)[0].strip()
-                if not stripped:
-                    continue
-                if "=" not in stripped:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
-                key, _, value = stripped.partition("=")
-                pairs.append((key.strip(), value.strip()))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return pairs
-
-
-def parse_override(text: str) -> tuple[str, str]:
-    """Parse a --set style 'key=value' override."""
-    if "=" not in text:
-        raise ConfigError(f"override must look like key=value (got {text!r})")
-    key, _, value = text.partition("=")
+def _pair(text: str, where: str) -> tuple[str, str]:
+    """Split one 'key = value' setting; where (path:line or --set) names its source in an error."""
+    key, sep, value = text.partition("=")
     key, value = key.strip(), value.strip()
-    if not key or not value:
-        raise ConfigError(f"override must look like key=value (got {text!r})")
+    if not (sep and key and value):
+        raise ConfigError(f"{where}: expected 'key = value', got {text.strip()!r}")
     return key, value
+
+
+def parse_config_file(path: str) -> list[tuple[str, str]]:
+    """Read UTF-8 'key = value' lines; '#' starts a comment, blank lines are skipped."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    settings = (line.split("#", 1)[0] for line in lines)
+    return [_pair(text, f"{path}:{lineno}") for lineno, text in enumerate(settings, 1) if text.strip()]
 
 
 def config_from_sources(
@@ -282,17 +271,8 @@ def config_from_sources(
     seed: int | None = None,
 ) -> SimConfig:
     """Merge defaults <- config file <- --set overrides <- --seed; last one wins."""
-    flat = default_flat()
-    if config_path is not None:
-        for key, value in parse_config_file(config_path):
-            if key not in _KEYS:
-                raise ConfigError(f"unknown configuration key in {config_path}: {key!r}")
-            flat[key] = value
-    for text in overrides:
-        key, value = parse_override(text)
-        if key not in _KEYS:
-            raise ConfigError(f"unknown configuration key in override: {key!r}")
-        flat[key] = value
+    flat = dict(parse_config_file(config_path)) if config_path is not None else {}
+    flat.update(_pair(text, "--set") for text in overrides)
     if seed is not None:
         flat["seed"] = str(seed)
     return build_config(flat)

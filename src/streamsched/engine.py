@@ -197,7 +197,7 @@ class RunState:
             cl.update_virtual_queue(qs, gamma, profile.quality[i][m - 1])
 
     def refresh_topology(self, t: int) -> None:
-        """Under mobility, slot t's gains and every helper's rate table."""
+        """Under mobility, slot t's gains and every helper's rate table; edges and association stay slot 0's."""
         if self.mobility is not None:
             state = topo.topology_state(self.graph, t, self.mobility)
             self.tables = sched.helper_tables(state, self.graph, self.cfg.mimo)

@@ -9,7 +9,9 @@ exactly as a stable sort of the whole row would.
 The exhaustive enumerator `exhaustive_select(weights, rows, ids)` takes the
 greedy kernel's inputs and serves as the testing oracle. The queue-oblivious
 baseline is one class, `RoundRobinState(state, graph)`: it associates each
-user with its max-RSSI helper and rotates over each helper's users.
+user with its max-RSSI helper and rotates over each helper's users. Under
+waypoint mobility the engine rebuilds the rate tables from each slot's gains,
+but the association stays that of slot 0's gains, as do the graph's edges.
 
 The hardened rate model `log2(1 + ((M - S + 1) / S) * sinr)` of `phy` is
 evaluated in one place, `helper_rate_rows`. `helper_tables` turns those rows
@@ -165,11 +167,15 @@ class RateTable(NamedTuple):
 
 
 def helper_tables(state: TopologyState, graph: NetworkGraph, cfg: MimoConfig) -> list[RateTable]:
-    """Every helper's table; valid for as long as the gains in state hold."""
+    """Every helper's table; valid for as long as the gains in state hold.
+
+    A table has a row for each subset size up to min(s_max, its eligible
+    users): no helper can serve more streams than it has users.
+    """
     sinr = sinr_matrix(state, graph)
     tables = []
-    for h in range(len(graph.helpers)):
-        ids, rows = helper_rate_rows(h, state, graph, cfg.s_max, sinr=sinr[h])
+    for h, eligible in enumerate(np.count_nonzero(graph.adjacency, axis=1).tolist()):
+        ids, rows = helper_rate_rows(h, state, graph, min(cfg.s_max, eligible), sinr=sinr[h])
         bits = np.floor(rows * cfg.symbols_per_slot).astype(np.int64)
         tables.append(RateTable(ids, rows, bits))
     return tables

@@ -3,6 +3,10 @@
 Distances live on a square torus (wrap-around) to avoid boundary effects.
 Gains are large-scale pathloss only; the per-slot snapshot is deterministic
 given positions, so a static layout yields a time-invariant state.
+
+Under waypoint mobility only the gains follow the users: `topology_state`
+recomputes them each slot, and the engine rebuilds the rate tables from them.
+The `NetworkGraph`, its `edge_rule=snr` edge set included, is that of slot 0.
 """
 from __future__ import annotations
 

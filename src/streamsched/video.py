@@ -93,8 +93,9 @@ def synth_catalog(
     size_rows: list[tuple[int, ...]] = []
     for n_chunks, n_modes, mean_kbps in segments:
         mean_bits = mean_kbps * 1e3 * t_gop_seconds
-        # Unit-mean lognormal multipliers model chunk-to-chunk VBR variation.
-        mults = np.exp(rng.normal(-0.5 * sigma * sigma, sigma, size=n_chunks)) if sigma > 0 else np.ones(n_chunks)
+        # Unit-mean lognormal multipliers model chunk-to-chunk VBR variation;
+        # sigma = 0 draws only +-0.0, so every multiplier is exactly 1.
+        mults = np.exp(rng.normal(-0.5 * sigma * sigma, sigma, size=n_chunks))
         for c in range(n_chunks):
             ref = mean_bits * float(mults[c])
             sizes: list[int] = []

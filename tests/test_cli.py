@@ -90,6 +90,42 @@ def test_run_unknown_key_exits_2(config_file, tmp_path, capsys):
     assert "nope" in capsys.readouterr().err
 
 
+def test_unknown_key_in_config_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "sim.cfg"
+    path.write_text(SMALL_CONFIG + "mimo.antennas = 8\n")
+    rc = main(["topology", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "mimo.antennas" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("line", ["seed =", "= 5", "justtext"])
+def test_malformed_config_line_exits_2_naming_its_line(tmp_path, capsys, line):
+    path = tmp_path / "sim.cfg"
+    path.write_text(f"# header\nn = 5\n{line}\n")
+    rc = main(["topology", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{path}:3:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("setting", ["seed=", "seed"])
+def test_malformed_override_exits_2_naming_set(tmp_path, capsys, setting):
+    rc = main(["topology", "--out", str(tmp_path / "o"), "--set", setting])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--set" in err and repr(setting) in err and "Traceback" not in err
+
+
+def test_config_file_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"seed = 1\n\xff\xfe = 2\n")
+    rc = main(["topology", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("key", ["topology.user_layout", "topology.helper_layout"])
 @pytest.mark.parametrize("layout", ["nan:40", "40:inf", "30:40;-inf:10"])
 def test_run_nonfinite_layout_exits_2(config_file, tmp_path, capsys, key, layout):

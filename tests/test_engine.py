@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from streamsched import engine
-from streamsched.config import SimConfig, build_config, config_hash, default_flat, flatten_config
+from streamsched.config import SimConfig, build_config, config_hash, flatten_config
 from streamsched.errors import ConfigError
 from streamsched.engine import run, sweep
 from streamsched.video import synth_catalog
@@ -253,10 +253,12 @@ def test_build_config_rejects_unknown_key():
         build_config({"not.a.key": "1"})
 
 
-def test_default_flat_round_trips():
-    flat = default_flat()
-    cfg = build_config(flat)
-    assert engine.flatten_config(cfg) == flat
+def test_unset_keys_take_dataclass_defaults():
+    assert build_config({}) == SimConfig()
+    defaults = flatten_config(SimConfig())
+    for key, text in defaults.items():
+        cfg = build_config({key: text})
+        assert cfg == SimConfig() and repr(cfg) == repr(SimConfig()), key
 
 
 EVERY_KEY_FLAT = {
@@ -279,7 +281,7 @@ def test_config_hash_pinned_and_every_key_round_trips():
     assert config_hash(SimConfig()) == "3ce089c5a692"
     assert config_hash(build_config(small_flat())) == "e2c74c5ad701"
     every = build_config(EVERY_KEY_FLAT)
-    defaults, flat = default_flat(), flatten_config(every)
+    defaults, flat = flatten_config(SimConfig()), flatten_config(every)
     assert flat.keys() == defaults.keys() and all(flat[k] != defaults[k] for k in flat)
     assert config_hash(every) == "35b362dba02f"
     assert build_config(flatten_config(every)) == every
@@ -340,3 +342,27 @@ def test_session_wraps_around_short_catalog():
         k = t // cfg.n
         assert bits == catalog.size_bits[(starts[u] + k) % catalog.num_chunks][mode - 1]
     assert all(u.requested_chunks == cfg.session_chunks for u in res.users)
+
+
+def test_waypoint_mobility_moves_gains_not_edges_or_association():
+    # Only the gains and the rate tables follow the users; the snr edge set and the
+    # baseline's max-RSSI association stay those of slot 0.
+    cfg = build_config(small_flat(policy="baseline", **{
+        "topology.helper_layout": "20:40;60:40",
+        "topology.user_layout": "15:40;25:40;55:40;65:40;40:10;40:70",
+        "topology.edge_rule": "snr", "topology.edge_threshold": "12",
+        "topology.mobility": "waypoint", "topology.waypoint_speed": "0.5",
+    }))
+    st = engine.RunState(cfg)
+    users = [list(ids) for ids in st.rr.users]
+    adjacency, tables = st.graph.adjacency.copy(), st.tables
+    st.refresh_topology(1000)
+    assert st.rr.users == users
+    assert (st.graph.adjacency == adjacency).all()
+    assert any(not np.array_equal(a.rows, b.rows) for a, b in zip(tables, st.tables))
+    # The users did move far enough that slot 1000's positions give other edges and another association.
+    g = st.graph
+    moved = engine.topo.build_graph(g.helpers, st.mobility.positions(g, 1000), g.side, 20.0, g.antennas, "snr", 12.0)
+    assert (moved.adjacency != adjacency).any()
+    state = engine.topo.topology_state(st.graph, 1000, st.mobility)
+    assert engine.sched.RoundRobinState(state, st.graph).users != users

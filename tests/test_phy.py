@@ -109,15 +109,25 @@ def test_subset_rates_contract_violations():
 def test_slot_bits_values():
     # floor(168000 * log2(4.1)) evaluated independently = 341984.
     cfg = MimoConfig(antennas=40, s_max=10, symbols_per_slot=168_000)
-    graph, state = make_graph([[1.0, 0.0]], tx_powers=[1.0], antennas=40)
+    # Ten users, so the table has a row for S = 10.
+    graph, state = make_graph([[1.0] * 9 + [0.0]], tx_powers=[1.0], antennas=40)
     bits = helper_tables(state, graph, cfg)[0].bits
     assert bits.dtype == np.int64
     assert bits[9, 0] == 341_984
-    assert (bits[:, 1] == 0).all()  # zero SINR, zero bits
+    assert (bits[:, 9] == 0).all()  # zero SINR, zero bits
     # log2(1 + 1 * 1) = 1 bit/symbol, a whole slot's symbols.
     graph, state = make_graph([[1.0]], tx_powers=[1.0], antennas=1)
     su = MimoConfig(antennas=1, s_max=1, symbols_per_slot=168_000)
     assert helper_tables(state, graph, su)[0].bits[0, 0] == 168_000
+
+
+def test_table_rows_stop_at_the_neighbourhood():
+    # No helper serves more streams than it has eligible users, so its table has no taller rows.
+    adjacency = [[True, True, True, False, False], [False] * 5, [True] * 5]
+    graph, state = make_graph(np.full((3, 5), 0.5), adjacency=adjacency)
+    tables = helper_tables(state, graph, MimoConfig(antennas=8, s_max=8, symbols_per_slot=1000))
+    assert [t.rows.shape for t in tables] == [(3, 3), (0, 0), (5, 5)]
+    assert [t.bits.shape for t in tables] == [(3, 3), (0, 0), (5, 5)]
 
 
 def test_default_symbols_per_slot():

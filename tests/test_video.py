@@ -85,6 +85,19 @@ def test_catalog_invariants_fuzz():
             assert all(p.d_min <= q <= p.d_max for q in quals)
 
 
+def test_sigma_zero_catalog_is_constant_per_segment():
+    segments = [(4, 3, 400.0), (5, 2, 1000.0), (3, 4, 250.5)]
+    p = synth_catalog(segments, seed=3, sigma=0.0)
+    assert p == synth_catalog(segments, seed=4, sigma=0.0)
+    first = 0
+    for n_chunks, n_modes, kbps in segments:
+        ladder = p.size_bits[first]
+        assert len(ladder) == n_modes and ladder[-1] == round(kbps * 1e3 * 0.5)
+        assert all(p.size_bits[i] == ladder for i in range(first, first + n_chunks))
+        assert all(p.quality[i] == p.quality[first] for i in range(first, first + n_chunks))
+        first += n_chunks
+
+
 def test_one_mode_catalog():
     p = synth_catalog([(5, 1, 100.0)], seed=0)
     assert all(len(p.quality[i]) == 1 for i in range(5))
