@@ -141,7 +141,7 @@ def cmd_topology(args: argparse.Namespace) -> int:
     graph = engine.build_network(cfg, engine.run_seeds(cfg)[0])
     nodes = [["helper", i, repr(x), repr(y)] for i, (x, y) in enumerate(graph.helpers.tolist())]
     nodes += [["user", i, repr(x), repr(y)] for i, (x, y) in enumerate(graph.users.tolist())]
-    gains = topo.topology_state(graph).gains.tolist()
+    gains = topo.topology_state(graph).tolist()
     digest = config_hash(cfg)
     engine.write_csv(os.path.join(args.out, "nodes.csv"), digest, cfg.seed, ["nodeType", "id", "x", "y"], nodes)
     engine.write_csv(os.path.join(args.out, "gains.csv"), digest, cfg.seed, ["helperId", "userId", "gainLinear"],

@@ -29,6 +29,9 @@ RECEIVERS = ("advanced", "dumb")
 
 Segments = tuple[tuple[int, int, float], ...]
 
+# No larger population fits in memory or could be simulated; numpy refuses Poisson means above about 9.2e18.
+MAX_MEAN_USERS = 10**7
+
 
 @dataclass(frozen=True)
 class TopologySpec:
@@ -45,14 +48,15 @@ class TopologySpec:
     waypoint_speed: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.side_m <= 0:
-            raise ConfigError("topology.side_m must be positive")
+        # The Poisson intensities divide by the area, so side_m**2 must neither underflow nor overflow.
+        if not (self.side_m > 0 and 0 < self.side_m * self.side_m < math.inf):
+            raise ConfigError("topology.side_m must be positive, with a positive and finite square")
         if not 0 < self.hotspot_side_m <= self.side_m:
             raise ConfigError("topology.hotspot_side_m must be positive and fit in the region")
         if self.hotspot_ratio <= 0:
             raise ConfigError("topology.hotspot_ratio must be positive")
-        if self.mean_users < 0:
-            raise ConfigError("topology.mean_users must be nonnegative")
+        if not 0 <= self.mean_users <= MAX_MEAN_USERS:
+            raise ConfigError(f"topology.mean_users must lie in [0, {MAX_MEAN_USERS}]")
         if self.tx_power <= 0:
             raise ConfigError("topology.tx_power must be positive")
         if self.edge_rule not in ("all", "snr"):

@@ -158,10 +158,10 @@ class RunState:
         self.last_bits = np.zeros(n_users, dtype=np.int64)
         self.mobility = (None if cfg.topology.mobility == "static"
                          else topo.WaypointMobility(cfg.topology.waypoint_speed, seed=cfg.seed))
-        state = topo.topology_state(graph, 0, self.mobility)
-        self.tables = sched.helper_tables(state, graph, cfg.mimo)
+        gains = topo.topology_state(graph, 0, self.mobility)
+        self.tables = sched.helper_tables(gains, graph, cfg.mimo)
         if cfg.policy == "baseline":
-            self.rr = sched.RoundRobinState(state, graph)
+            self.rr = sched.RoundRobinState(gains, graph)
         self.weight_history: deque[np.ndarray] = deque(maxlen=cfg.scheduler_staleness + 1)
         self.sum_q = np.zeros(n_users)
         self.sum_theta = np.zeros(n_users)
@@ -199,8 +199,8 @@ class RunState:
     def refresh_topology(self, t: int) -> None:
         """Under mobility, slot t's gains and every helper's rate table; edges and association stay slot 0's."""
         if self.mobility is not None:
-            state = topo.topology_state(self.graph, t, self.mobility)
-            self.tables = sched.helper_tables(state, self.graph, self.cfg.mimo)
+            gains = topo.topology_state(self.graph, t, self.mobility)
+            self.tables = sched.helper_tables(gains, self.graph, self.cfg.mimo)
 
     def schedule(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Every helper's subset for slot t; returns (per-edge bits, bits delivered per user)."""

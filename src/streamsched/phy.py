@@ -10,9 +10,10 @@ where M is the antenna count and S the active subset size. Power is split
 equally across streams; interference is counted from all other helpers at
 full power.
 
-This module holds the SINR; the rate formula itself is evaluated in exactly
-one place, `scheduler.helper_rate_rows`, and every slot's bit budgets come
-from the tables `scheduler.helper_tables` builds from those rows.
+This module holds the SINR of the (H, N) gains from `topology.topology_state`,
+the only channel state. The rate formula itself is evaluated in exactly one
+place, `scheduler.helper_rate_rows`, and every slot's bit budgets come from the
+tables `scheduler.helper_tables` builds from those rows.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .topology import NetworkGraph, TopologyState
+from .topology import NetworkGraph
 
 # LTE-like slot: 84 symbols per resource block x 100 blocks x 20 per 10 ms frame.
 DEFAULT_SYMBOLS_PER_SLOT = 84 * 100 * 20
@@ -44,8 +45,8 @@ class MimoConfig:
             raise ConfigError("mimo.symbols_per_slot must lie in [1, 2**40]")
 
 
-def sinr_matrix(state: TopologyState, graph: NetworkGraph) -> np.ndarray:
-    """All-pairs large-scale SINR [h, u]; every other helper interferes at full power."""
-    received = graph.tx_power[:, None] * state.gains
+def sinr_matrix(gains: np.ndarray, graph: NetworkGraph) -> np.ndarray:
+    """All-pairs large-scale SINR [h, u] from the (H, N) gains; every other helper interferes at full power."""
+    received = graph.tx_power[:, None] * gains
     total = received.sum(axis=0)
     return received / (1.0 + total - received)

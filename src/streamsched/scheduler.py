@@ -8,7 +8,7 @@ partitions each row for them and sorts just that small block, ranking them
 exactly as a stable sort of the whole row would.
 The exhaustive enumerator `exhaustive_select(weights, rows, ids)` takes the
 greedy kernel's inputs and serves as the testing oracle. The queue-oblivious
-baseline is one class, `RoundRobinState(state, graph)`: it associates each
+baseline is one class, `RoundRobinState(gains, graph)`: it associates each
 user with its max-RSSI helper and rotates over each helper's users. Under
 waypoint mobility the engine rebuilds the rate tables from each slot's gains,
 but the association stays that of slot 0's gains, as do the graph's edges.
@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .phy import MimoConfig, sinr_matrix
-from .topology import NetworkGraph, TopologyState
+from .topology import NetworkGraph
 
 EXHAUSTIVE_NEIGHBORHOOD_CAP = 20
 
@@ -44,8 +44,8 @@ class RoundRobinState:
     least one edge.
     """
 
-    def __init__(self, state: TopologyState, graph: NetworkGraph) -> None:
-        rssi = np.where(graph.adjacency, graph.tx_power[:, None] * state.gains, -np.inf)
+    def __init__(self, gains: np.ndarray, graph: NetworkGraph) -> None:
+        rssi = np.where(graph.adjacency, graph.tx_power[:, None] * gains, -np.inf)
         helper_of = rssi.argmax(axis=0)
         self.users = [np.flatnonzero(helper_of == h).tolist() for h in range(len(graph.helpers))]
         self.cursors = [0] * len(self.users)
@@ -61,18 +61,18 @@ class RoundRobinState:
 
 
 def helper_rate_rows(
-    h: int, state: TopologyState, graph: NetworkGraph, s_max: int, sinr: np.ndarray | None = None
+    h: int, gains: np.ndarray, graph: NetworkGraph, s_max: int, sinr: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eligible user ids of helper h and their rates for every subset size.
 
     Returns (user_ids ascending, rows) with rows[S-1, j] the bits/symbol of
     user_ids[j] when h serves S streams. A user is eligible when it has an
-    edge to h. sinr is h's row of `sinr_matrix(state, graph)` when the caller
+    edge to h. sinr is h's row of `sinr_matrix(gains, graph)` when the caller
     already has it; otherwise it is computed here.
     """
     ids = np.flatnonzero(graph.adjacency[h])
     if sinr is None:
-        sinr = sinr_matrix(state, graph)[h]
+        sinr = sinr_matrix(gains, graph)[h]
     sinr_vec = sinr[ids]
     sizes = np.arange(1, min(s_max, graph.antennas) + 1)
     prefactor = (graph.antennas - sizes + 1) / sizes
@@ -166,16 +166,16 @@ class RateTable(NamedTuple):
     bits: np.ndarray
 
 
-def helper_tables(state: TopologyState, graph: NetworkGraph, cfg: MimoConfig) -> list[RateTable]:
-    """Every helper's table; valid for as long as the gains in state hold.
+def helper_tables(gains: np.ndarray, graph: NetworkGraph, cfg: MimoConfig) -> list[RateTable]:
+    """Every helper's table; valid for as long as the (H, N) gains hold.
 
     A table has a row for each subset size up to min(s_max, its eligible
     users): no helper can serve more streams than it has users.
     """
-    sinr = sinr_matrix(state, graph)
+    sinr = sinr_matrix(gains, graph)
     tables = []
     for h, eligible in enumerate(np.count_nonzero(graph.adjacency, axis=1).tolist()):
-        ids, rows = helper_rate_rows(h, state, graph, min(cfg.s_max, eligible), sinr=sinr[h])
+        ids, rows = helper_rate_rows(h, gains, graph, min(cfg.s_max, eligible), sinr=sinr[h])
         bits = np.floor(rows * cfg.symbols_per_slot).astype(np.int64)
         tables.append(RateTable(ids, rows, bits))
     return tables

@@ -1,8 +1,9 @@
 """Network geometry: node placement, pathloss, connectivity graph, gain snapshots.
 
 Distances live on a square torus (wrap-around) to avoid boundary effects.
-Gains are large-scale pathloss only; the per-slot snapshot is deterministic
-given positions, so a static layout yields a time-invariant state.
+Gains are large-scale pathloss only. A slot's channel is the plain (H, N)
+array of gains that `topology_state` returns; it is deterministic given
+positions, so a static layout yields the same gains every slot.
 
 Under waypoint mobility only the gains follow the users: `topology_state`
 recomputes them each slot, and the engine rebuilds the rate tables from them.
@@ -54,17 +55,6 @@ class NetworkGraph:
         if u and not self.adjacency.any(axis=0).all():
             orphan = int(np.flatnonzero(~self.adjacency.any(axis=0))[0])
             raise ConfigError(f"user {orphan} has no edge to any helper")
-
-
-@dataclass(frozen=True)
-class TopologyState:
-    """Snapshot of large-scale gains for every helper-user pair."""
-
-    gains: np.ndarray
-
-    def __post_init__(self) -> None:
-        if (self.gains < 0).any() or not np.isfinite(self.gains).all():
-            raise ValueError("gains must be finite and nonnegative")
 
 
 def torus_distance(a: ArrayLike, b: ArrayLike, side: float) -> float | np.ndarray:
@@ -190,10 +180,13 @@ class WaypointMobility:
         return pos
 
 
-def topology_state(graph: NetworkGraph, t: int = 0, mobility: object | None = None) -> TopologyState:
-    """Gain snapshot at slot t under the given mobility model (default static)."""
+def topology_state(graph: NetworkGraph, t: int = 0, mobility: WaypointMobility | None = None) -> np.ndarray:
+    """(H, N) gains at slot t under the mobility model (default static); ValueError on a negative or non-finite one."""
     user_pos = graph.users if mobility is None else mobility.positions(graph, t)
-    return TopologyState(gain_matrix(graph.helpers, user_pos, graph.side))
+    gains = gain_matrix(graph.helpers, user_pos, graph.side)
+    if (gains < 0).any() or not np.isfinite(gains).all():
+        raise ValueError("gains must be finite and nonnegative")
+    return gains
 
 
 def gain_matrix(helper_pos: np.ndarray, user_pos: np.ndarray, side: float) -> np.ndarray:

@@ -48,11 +48,11 @@ def random_instance(rng: np.random.Generator):
         side=100.0,
         adjacency=np.ones((n_helpers, n_users), dtype=bool),
     )
-    state = topo.TopologyState(rng.uniform(0.0, 1.0, size=(n_helpers, n_users)))
+    gains = rng.uniform(0.0, 1.0, size=(n_helpers, n_users))
     weights = rng.uniform(0.0, 1.0, size=n_users) * 10.0 ** rng.integers(0, 8)
     weights[rng.uniform(size=n_users) < 0.15] = 0.0
     cfg = MimoConfig(antennas=antennas, s_max=s_max, symbols_per_slot=1000)
-    return graph, state, weights, cfg
+    return graph, gains, weights, cfg
 
 
 def exact_objective(subset, weights: np.ndarray, table: sched.RateTable) -> Fraction:
@@ -73,8 +73,8 @@ def greedy_vs_exhaustive(instances: int = 10_000, seed: int = 7) -> SuiteResult:
     passed = 0
     failure = None
     for case in range(instances):
-        graph, state, weights, cfg = random_instance(rng)
-        table = sched.helper_tables(state, graph, cfg)[0]
+        graph, gains, weights, cfg = random_instance(rng)
+        table = sched.helper_tables(gains, graph, cfg)[0]
         args = weights[table.ids], table.rows, table.ids
         g_subset, g_obj = sched.greedy_from_rates(*args)
         e_subset, e_obj = sched.exhaustive_select(*args)
@@ -89,7 +89,7 @@ def greedy_vs_exhaustive(instances: int = 10_000, seed: int = 7) -> SuiteResult:
                 "exhaustive_subset": list(e_subset),
                 "exhaustive_objective": e_obj,
                 "weights": weights.tolist(),
-                "gains": state.gains.tolist(),
+                "gains": gains.tolist(),
                 "antennas": cfg.antennas,
                 "s_max": cfg.s_max,
             }

@@ -4,7 +4,7 @@ from streamsched import topology as topo
 
 
 def make_graph(gains, tx_powers=None, antennas=8, adjacency=None):
-    """Graph + state straight from a gain matrix; positions are dummies."""
+    """(graph, gains) straight from a gain matrix; positions are dummies."""
     gains = np.asarray(gains, dtype=float)
     n_h, n_u = gains.shape
     if tx_powers is None:
@@ -14,4 +14,4 @@ def make_graph(gains, tx_powers=None, antennas=8, adjacency=None):
     graph = topo.NetworkGraph(helpers=np.zeros((n_h, 2)), users=np.zeros((n_u, 2)),
                               tx_power=np.asarray(tx_powers, dtype=float), antennas=antennas, side=100.0,
                               adjacency=np.asarray(adjacency, dtype=bool))
-    return graph, topo.TopologyState(gains)
+    return graph, gains

@@ -145,6 +145,10 @@ def test_run_out_of_region_layout_exits_2(config_file, tmp_path, capsys, key, la
     assert key in capsys.readouterr().err
 
 
+# Settings that make the Poisson draw place the users, in place of the config file's explicit layouts.
+POISSON = ("topology.user_layout=poisson", "topology.helper_layout=center+quarters")
+
+
 @pytest.mark.parametrize("key,value", [
     ("utility.v", "nan"),
     ("utility.alpha", "nan"),
@@ -175,9 +179,16 @@ def test_run_out_of_region_layout_exits_2(config_file, tmp_path, capsys, key, la
     # Bit counts that would stop being exact: budgets past int64, chunks past a float backlog's 2**53.
     ("mimo.symbols_per_slot", "1000000000000000000"),
     ("video.segments", "10x3@1e14"),
+    # Populations that cannot be drawn: the region's area overflows or underflows, or the Poisson mean
+    # is past what could be simulated. A tuple is the key's value followed by further settings.
+    ("topology.side_m", ("1e200", *POISSON)),
+    ("topology.side_m", ("1e-200", "topology.hotspot_side_m=1e-200", *POISSON)),
+    ("topology.mean_users", ("1e20", *POISSON)),
 ])
 def test_run_nonfinite_value_exits_2(config_file, tmp_path, capsys, key, value):
-    rc = main(["run", "--config", config_file, "--out", str(tmp_path / "o"), "--set", f"{key}={value}"])
+    value, *more = (value,) if isinstance(value, str) else value
+    settings = [arg for text in (f"{key}={value}", *more) for arg in ("--set", text)]
+    rc = main(["run", "--config", config_file, "--out", str(tmp_path / "o"), *settings])
     assert rc == 2
     assert key in capsys.readouterr().err
 

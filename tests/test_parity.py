@@ -55,6 +55,9 @@ def matrix():
     return configs
 
 
+CONFIGS = matrix()
+
+
 def component_digests(flat):
     """sha256 of the repr of each result component for one traced, checked run."""
     res = run(build_config(flat), collect_traces=True, check_invariants=True)
@@ -63,18 +66,15 @@ def component_digests(flat):
     return {name: hashlib.sha256(repr(part).encode()).hexdigest() for name, part in parts.items()}
 
 
-def load_pins():
+@pytest.mark.parametrize("name", CONFIGS)
+def test_result_components_match_pins(name):
     with open(PINS_PATH) as fh:
-        return json.load(fh)
-
-
-@pytest.mark.parametrize("name,flat", matrix().items(), ids=list(matrix()))
-def test_result_components_match_pins(name, flat):
-    pinned = load_pins()[name]
+        pinned = json.load(fh)[name]
+    flat = CONFIGS[name]
     digests = component_digests(flat)
     moved = sorted(part for part in pinned.keys() | digests.keys() if pinned.get(part) != digests.get(part))
     assert not moved, f"{name} {flat}: moved components {moved}"
 
 
 if __name__ == "__main__":
-    print(json.dumps({name: component_digests(flat) for name, flat in matrix().items()}, indent=1))
+    print(json.dumps({name: component_digests(flat) for name, flat in CONFIGS.items()}, indent=1))

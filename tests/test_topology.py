@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from streamsched.topology import (
-    TopologyState,
     WaypointMobility,
     build_graph,
     default_helper_layout,
@@ -98,8 +97,7 @@ def test_build_graph_huge_threshold_falls_back_to_best():
     helpers, users = _nodes()
     g = build_graph(helpers, users, 80.0, 20.0, 8, "snr", snr_threshold=math.inf)
     assert (g.adjacency.sum(axis=0) == 1).all()
-    state = topology_state(g)
-    rssi = g.tx_power[:, None] * state.gains
+    rssi = g.tx_power[:, None] * topology_state(g)
     for u in range(len(users)):
         assert g.adjacency[int(np.argmax(rssi[:, u])), u]
 
@@ -115,26 +113,30 @@ def test_topology_state_static_time_invariant():
     g = build_graph(helpers, users, 80.0, 20.0, 8)
     s1 = topology_state(g, 0)
     s2 = topology_state(g, 12345)
-    assert np.array_equal(s1.gains, s2.gains)
+    assert np.array_equal(s1, s2)
 
 
 def test_topology_state_rejects_negative_or_nonfinite_gains():
-    # No negative or non-finite SINR, hence no negative rate or bit budget, gets past the snapshot.
-    for bad in (-0.1, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            TopologyState(np.array([[0.5, bad]]))
+    # No negative or non-finite SINR, hence no negative rate or bit budget, gets past topology_state.
+    class NanMobility:
+        def positions(self, graph, t):
+            return np.array([[math.nan, 10.0]])
+
+    g = build_graph([(10.0, 10.0)], [(10.0, 10.0)], 80.0, 20.0, 4)
+    with pytest.raises(ValueError):
+        topology_state(g, 1, NanMobility())
 
 
 def test_topology_state_colocated_gain_is_one():
     g = build_graph([(10.0, 10.0)], [(10.0, 10.0)], 80.0, 20.0, 4)
-    assert topology_state(g).gains[0, 0] == 1.0
+    assert topology_state(g)[0, 0] == 1.0
 
 
 def test_topology_state_gains_ordered_by_distance():
     side = 80.0
     helpers = default_helper_layout(side)
     g = build_graph(helpers, [(43.0, 41.0)], side, 20.0, 8)
-    gains = topology_state(g).gains[:, 0]
+    gains = topology_state(g)[:, 0]
     dists = [torus_distance(h, (43.0, 41.0), side) for h in helpers]
     assert list(np.argsort(gains)[::-1]) == list(np.argsort(dists))
 
