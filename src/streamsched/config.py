@@ -53,8 +53,9 @@ class TopologySpec:
             raise ConfigError("topology.side_m must be positive, with a positive and finite square")
         if not 0 < self.hotspot_side_m <= self.side_m:
             raise ConfigError("topology.hotspot_side_m must be positive and fit in the region")
-        if self.hotspot_ratio <= 0:
-            raise ConfigError("topology.hotspot_ratio must be positive")
+        # The intensities divide by out_area + hotspot_ratio * hotspot_side_m**2, which must stay finite.
+        if not (self.hotspot_ratio > 0 and self.side_m**2 + self.hotspot_ratio * self.hotspot_side_m**2 < math.inf):
+            raise ConfigError("topology.hotspot_ratio must be positive, and its weighted hotspot area finite")
         if not 0 <= self.mean_users <= MAX_MEAN_USERS:
             raise ConfigError(f"topology.mean_users must lie in [0, {MAX_MEAN_USERS}]")
         if self.tx_power <= 0:

@@ -5,9 +5,10 @@ Gains are large-scale pathloss only. A slot's channel is the plain (H, N)
 array of gains that `topology_state` returns; it is deterministic given
 positions, so a static layout yields the same gains every slot.
 
-Under waypoint mobility only the gains follow the users: `topology_state`
-recomputes them each slot, and the engine rebuilds the rate tables from them.
-The `NetworkGraph`, its `edge_rule=snr` edge set included, is that of slot 0.
+Under waypoint mobility the users step toward random waypoints once per slot,
+and only the gains follow them: `topology_state` recomputes them each slot and
+the engine rebuilds the rate tables. The `NetworkGraph`, its `edge_rule=snr`
+edge set included, is that of slot 0.
 """
 from __future__ import annotations
 
@@ -146,38 +147,36 @@ def build_graph(
 
 
 class WaypointMobility:
-    """Users drift toward successive random waypoints at constant speed.
+    """Random waypoint mobility (Camp, Boleng & Davies 2002), stepped once per slot.
 
-    Waypoint legs are derived deterministically from the seed; positions are a
-    pure function of t so snapshots stay reproducible.
+    The first call copies graph.users and draws each user a target, uniform over
+    the region, from one generator seeded with seed. Each slot moves every user
+    speed_m_per_slot straight toward its target; one within that distance lands
+    on it and draws its next target, in ascending user id. positions(graph, t)
+    steps on from the last slot asked to t, so t must never decrease.
     """
 
     def __init__(self, speed_m_per_slot: float, seed: int = 0):
         self.speed = speed_m_per_slot
-        self.seed = seed
+        self.rng = np.random.default_rng(seed)
+        self.t = 0
+        self.pos: np.ndarray | None = None
 
     def positions(self, graph: NetworkGraph, t: int) -> np.ndarray:
-        pos = graph.users.copy()
-        if not len(pos):
-            return pos
-        rng = np.random.default_rng(self.seed)
-        side = graph.side
-        remaining = np.full(len(pos), float(t) * self.speed)
-        # Advance each user along its waypoint legs; legs are resampled per user
-        # in a fixed order, so the trajectory depends only on (seed, t).
-        targets = rng.uniform(0.0, side, size=(len(pos), 2))
-        for _ in range(64):
-            vec = targets - pos
-            dist = np.linalg.norm(vec, axis=1)
-            step = np.minimum(dist, remaining)
-            moving = dist > 1e-12
-            pos[moving] += vec[moving] / dist[moving, None] * step[moving, None]
-            remaining -= step
-            if (remaining <= 1e-9).all():
-                break
-            arrived = remaining > 1e-9
-            targets[arrived] = rng.uniform(0.0, side, size=(int(arrived.sum()), 2))
-        return pos
+        if self.pos is None:
+            self.pos = graph.users.copy()
+            self.targets = self.rng.uniform(0.0, graph.side, size=self.pos.shape)
+        if t < self.t:
+            raise ValueError(f"waypoint positions asked for slot {t} after slot {self.t}")
+        for _ in range(self.t, t):
+            vec = self.targets - self.pos
+            dist = np.hypot(vec[:, 0], vec[:, 1])
+            arrived = dist <= self.speed
+            step = self.pos + vec * (self.speed / np.maximum(dist, self.speed))[:, None]
+            self.pos = np.where(arrived[:, None], self.targets, step)  # a new array: earlier returns stay put
+            self.targets[arrived] = self.rng.uniform(0.0, graph.side, size=(int(arrived.sum()), 2))
+        self.t = t
+        return self.pos
 
 
 def topology_state(graph: NetworkGraph, t: int = 0, mobility: WaypointMobility | None = None) -> np.ndarray:

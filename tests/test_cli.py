@@ -179,11 +179,13 @@ POISSON = ("topology.user_layout=poisson", "topology.helper_layout=center+quarte
     # Bit counts that would stop being exact: budgets past int64, chunks past a float backlog's 2**53.
     ("mimo.symbols_per_slot", "1000000000000000000"),
     ("video.segments", "10x3@1e14"),
-    # Populations that cannot be drawn: the region's area overflows or underflows, or the Poisson mean
-    # is past what could be simulated. A tuple is the key's value followed by further settings.
+    # Populations that cannot be drawn: the region's area overflows or underflows, the hotspot's weighted
+    # area overflows, or the Poisson mean is past what could be simulated. A tuple is the key's value
+    # followed by further settings.
     ("topology.side_m", ("1e200", *POISSON)),
     ("topology.side_m", ("1e-200", "topology.hotspot_side_m=1e-200", *POISSON)),
     ("topology.mean_users", ("1e20", *POISSON)),
+    ("topology.hotspot_ratio", ("1e308", *POISSON)),
 ])
 def test_run_nonfinite_value_exits_2(config_file, tmp_path, capsys, key, value):
     value, *more = (value,) if isinstance(value, str) else value

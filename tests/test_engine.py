@@ -237,8 +237,8 @@ def test_waypoint_mobility_runs():
         "topology.waypoint_speed": "0.05",
         "session_chunks": "10",
     })
-    res = run(build_config(flat))
-    assert res.all_finished or res.slots_run > 0
+    res = run(build_config(flat), check_invariants=True)
+    assert res.drain_complete and res.all_finished
 
 
 def test_config_hash_stable_and_sensitive():

@@ -141,12 +141,58 @@ def test_topology_state_gains_ordered_by_distance():
     assert list(np.argsort(gains)[::-1]) == list(np.argsort(dists))
 
 
-def test_waypoint_mobility_moves_and_stays_in_region():
+WAYPOINT_SPEED = 0.5
+WAYPOINT_SLOTS = 10_000
+
+
+def _waypoint_graph():
     helpers, users = _nodes(n_users=6)
-    g = build_graph(helpers, users, 80.0, 20.0, 8)
-    mob = WaypointMobility(speed_m_per_slot=0.5, seed=1)
+    return build_graph(helpers, users, 80.0, 20.0, 8)
+
+
+@pytest.fixture(scope="module")
+def waypoint_track():
+    """Positions of 6 users at 0.5 m/slot (seed 1), one per slot for slots 0 .. 10**4 + 1."""
+    g, mob = _waypoint_graph(), WaypointMobility(WAYPOINT_SPEED, seed=1)
+    return np.stack([mob.positions(g, t) for t in range(WAYPOINT_SLOTS + 2)])
+
+
+def test_waypoint_step_never_exceeds_the_speed(waypoint_track):
+    # No teleport: each slot moves a user at most the speed, under the metric the gains use.
+    steps = torus_distance(waypoint_track[1:], waypoint_track[:-1], 80.0)
+    assert steps.max() <= WAYPOINT_SPEED * (1 + 1e-12)
+    assert (steps > 0).mean() > 0.99
+
+
+def test_waypoint_users_still_move_after_many_slots(waypoint_track):
+    assert (waypoint_track[WAYPOINT_SLOTS + 1] != waypoint_track[WAYPOINT_SLOTS]).any(axis=1).all()
+
+
+def test_waypoint_positions_stay_in_region(waypoint_track):
+    assert (waypoint_track >= 0).all() and (waypoint_track <= 80.0).all()
+
+
+def test_waypoint_same_seed_same_positions(waypoint_track):
+    # One object called every slot and one that jumps between a few slots follow the same trajectory.
+    g, mob = _waypoint_graph(), WaypointMobility(WAYPOINT_SPEED, seed=1)
+    for t in (0, 1, 7, 5000, WAYPOINT_SLOTS + 1):
+        assert np.array_equal(mob.positions(g, t), waypoint_track[t])
+    other = WaypointMobility(WAYPOINT_SPEED, seed=2).positions(g, 100)
+    assert not np.array_equal(other, waypoint_track[100])
+
+
+def test_waypoint_mobility_moves_and_stays_in_region():
+    g, mob = _waypoint_graph(), WaypointMobility(WAYPOINT_SPEED, seed=1)
     p0 = mob.positions(g, 0)
+    assert np.array_equal(p0, g.users)
     p9 = mob.positions(g, 9)
     assert not np.allclose(p0, p9)
-    assert np.array_equal(p9, mob.positions(g, 9))  # pure in t
+    assert np.array_equal(p9, mob.positions(g, 9))  # the same slot again returns the same positions
     assert (p9 >= 0).all() and (p9 <= 80.0).all()
+
+
+def test_waypoint_earlier_slot_raises():
+    g, mob = _waypoint_graph(), WaypointMobility(WAYPOINT_SPEED, seed=1)
+    mob.positions(g, 9)
+    with pytest.raises(ValueError):
+        mob.positions(g, 8)
