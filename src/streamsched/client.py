@@ -1,17 +1,23 @@
 """Per-user pull congestion control.
 
-Each user keeps a request queue Q (bits requested but not yet delivered) and
-a virtual queue used to steer the long-run requested quality. Chunk quality is
+Each user has a request queue Q (bits requested but not yet delivered) and a
+virtual queue theta that steers the long-run requested quality. Both are
+float vectors over all users owned by `engine.RunState` (`q` and `theta`):
+the max-weight scheduler reads the whole backlog each slot and the result
+averages both, so they are the only copy of that state. Chunk quality is
 chosen by minimizing Q * bits - theta * quality over the mode ladder; the
 auxiliary variable gamma maximizes V * utility(gamma) - theta * gamma over the
-quality range.
+quality range. The functions here still act on one user at a time, taking
+that user's Q and theta as scalars, because the benchmark tracer counts them
+by name (ROADMAP item 1 re-keys it).
 
 Users request in lockstep: at every chunk slot the engine asks each user for
 its next chunk, so a request takes the catalog index and keeps no session
 state here. Chunks are requested in session order and consumed head-of-line,
-so the queue keeps only the outstanding run head .. requested_chunks - 1: a
-chunk completes once the consumed bits reach its cumulative end, and leaves
-as a count (head) and a running quality sum, so the state stays bounded.
+so the chunk ledger (`RequestQueueState`) keeps only the outstanding run
+head .. requested_chunks - 1: a chunk completes once the consumed bits reach
+its cumulative end, and leaves as a count (head) and a running quality sum,
+so the state stays bounded.
 """
 from __future__ import annotations
 
@@ -19,21 +25,23 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError
 from .video import QualityRateProfile
 
 @dataclass
 class RequestQueueState:
-    """Request-queue backlog, virtual queue, and the head-of-line chunk cursor.
+    """One user's chunk ledger: the head-of-line cursor and cumulative bit counters.
 
     chunks holds (cumulative requested bits at its end, quality) per outstanding
     chunk; head is the first chunk not fully consumed, and delivered_quality
-    sums the qualities of the chunks before head in order. Cumulative counters make
-    the conservation identities checkable at any slot (see broken_identity).
+    sums the qualities of the chunks before head in order. The backlog Q and
+    the virtual queue are not kept here but in `engine.RunState`'s vectors;
+    the cumulative counters make the conservation identities, the backlog's
+    included, checkable at any slot (see broken_identity).
     """
 
-    q: float = 0.0
-    theta: float = 0.0
     chunks: deque[tuple[int, float]] = field(default_factory=deque)
     head: int = 0
     requested_chunks: int = 0
@@ -43,14 +51,14 @@ class RequestQueueState:
     delivered_bits: int = 0
     delivered_quality: float = 0.0
 
-    def broken_identity(self) -> str | None:
-        """The first conservation identity that does not hold, or None if all do."""
+    def broken_identity(self, q: float) -> str | None:
+        """The first conservation identity that does not hold with backlog q, or None if all do."""
         if self.requested_bits != (self.chunks[-1][0] if self.chunks else self.consumed_bits):
             return "requested != last chunk end"
         if (self.head + len(self.chunks) != self.requested_chunks
                 or (self.chunks and self.chunks[0][0] <= self.consumed_bits)):
             return "head != first chunk not fully consumed"
-        if self.requested_bits != self.consumed_bits + self.q:
+        if self.requested_bits != self.consumed_bits + q:
             return "requested != consumed + residual"
         if self.delivered_bits != self.consumed_bits + self.discarded_bits:
             return "delivered != consumed + discarded"
@@ -78,27 +86,26 @@ def utility(alpha: float, x: float) -> float:
     return x ** (1.0 - alpha) / (1.0 - alpha)
 
 
-def select_mode(qs: RequestQueueState, profile: QualityRateProfile, i: int) -> int:
+def select_mode(q: float, theta: float, profile: QualityRateProfile, i: int) -> int:
     """Mode minimizing q * size - theta * quality over chunk i's ladder; ties to the lowest mode."""
     best_mode = 1
     best_score = math.inf
     for m, (size, quality) in enumerate(zip(profile.size_bits[i], profile.quality[i]), start=1):
-        score = qs.q * size - qs.theta * quality
+        score = q * size - theta * quality
         if score < best_score:
             best_score = score
             best_mode = m
     return best_mode
 
 
-def request_chunk(qs: RequestQueueState, profile: QualityRateProfile, i: int) -> int:
-    """Request catalog chunk i as the session's next chunk; returns the chosen mode.
+def request_chunk(qs: RequestQueueState, q: float, theta: float, profile: QualityRateProfile, i: int) -> int:
+    """Request catalog chunk i as the session's next chunk, chosen at backlog q and virtual queue theta.
 
-    The requested bits join the queue at once; delivery happens over later
-    drain calls.
+    Returns the chosen mode. The chunk joins the ledger at once, and the
+    caller adds its bits to the backlog; delivery happens over later drains.
     """
-    m = select_mode(qs, profile, i)
+    m = select_mode(q, theta, profile, i)
     bits = profile.size_bits[i][m - 1]
-    qs.q += bits
     qs.requested_bits += bits
     qs.requested_chunks += 1
     qs.chunks.append((qs.requested_bits, profile.quality[i][m - 1]))
@@ -109,13 +116,13 @@ def drain_bits(qs: RequestQueueState, delivered_bits: int) -> list[int]:
     """Consume delivered bits head-of-line; returns the chunk ids completed now.
 
     Completed chunks leave, their qualities added to delivered_quality in order.
-    Bits beyond the backlog are discarded (Q never goes negative) and accounted.
+    Bits beyond the outstanding ones are discarded and accounted; the backlog
+    itself drains through drain_backlog.
     """
     if delivered_bits < 0:
         raise ValueError("delivered bits must be nonnegative")
     qs.delivered_bits += delivered_bits
     eat = min(delivered_bits, qs.requested_bits - qs.consumed_bits)
-    qs.q -= eat
     qs.consumed_bits += eat
     qs.discarded_bits += delivered_bits - eat
     first, chunks = qs.head, qs.chunks
@@ -123,6 +130,14 @@ def drain_bits(qs: RequestQueueState, delivered_bits: int) -> list[int]:
         qs.delivered_quality += chunks.popleft()[1]
         qs.head += 1
     return list(range(first, qs.head))
+
+
+def drain_backlog(q: np.ndarray, users: np.ndarray, delivered_bits: np.ndarray) -> None:
+    """Take each listed user's delivered bits off its backlog in q, in place; Q never goes negative.
+
+    Backlogs and bits are integers below 2**53, so the float arithmetic is exact.
+    """
+    q[users] -= np.minimum(delivered_bits, q[users])
 
 
 def optimize_gamma(theta: float, cfg: UtilityConfig, d_min: float, d_max: float) -> float:
@@ -144,7 +159,6 @@ def optimize_gamma(theta: float, cfg: UtilityConfig, d_min: float, d_max: float)
     return min(max(stationary, d_min), d_max)
 
 
-def update_virtual_queue(qs: RequestQueueState, gamma: float, requested_quality: float) -> float:
-    """Advance theta by gamma minus the quality requested this slot, floored at zero."""
-    qs.theta = max(qs.theta + gamma - requested_quality, 0.0)
-    return qs.theta
+def update_virtual_queue(theta: float, gamma: float, requested_quality: float) -> float:
+    """The next theta: theta plus gamma minus the quality requested this slot, floored at zero."""
+    return max(theta + gamma - requested_quality, 0.0)

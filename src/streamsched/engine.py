@@ -133,7 +133,13 @@ def _parse_layout(text: str, key: str, side: float) -> list[tuple[float, float]]
 
 class RunState:
     """Everything a run carries from slot to slot, per-user state indexed by
-    user id; each method is one phase of the slot loop `run`."""
+    user id; each method is one phase of the slot loop `run`.
+
+    The backlogs Q and virtual queues theta are the (N,) float vectors q and
+    theta, the only copy of that state: sampling, the max-weight weights and
+    the drained test are one numpy call each. queues holds each user's chunk
+    ledger, and players its playback state.
+    """
 
     def __init__(self, cfg: SimConfig, collect_traces: bool = False) -> None:
         self.cfg = cfg
@@ -149,6 +155,8 @@ class RunState:
             raise ConfigError(f"video.segments: a session of {cfg.session_chunks} chunks could request up to "
                               f"{session_max} bits; backlogs count bits exactly only below 2**53")
         self.starts = np.random.default_rng(seed_starts).integers(0, self.profile.num_chunks, size=n_users).tolist()
+        self.q = np.zeros(n_users)
+        self.theta = np.zeros(n_users)
         self.queues = [cl.RequestQueueState() for _ in range(n_users)]
         p = cfg.playback
         self.players = [pb.PlaybackState(total_chunks=cfg.session_chunks, window_size=p.window_slots, rho=p.rho)
@@ -180,21 +188,26 @@ class RunState:
 
     def sample(self) -> None:
         """Add this slot's backlogs and virtual queues to the running sums."""
-        self.sum_q += [qs.q for qs in self.queues]
-        self.sum_theta += [qs.theta for qs in self.queues]
+        self.sum_q += self.q
+        self.sum_theta += self.theta
 
     def request(self, k: int) -> None:
         """Chunk slot k: every user picks the quality of its k-th chunk, enqueues it and advances theta."""
         utility, video = self.cfg.utility, self.cfg.video
         profile, starts = self.profile, self.starts
         gammas, last_mode, last_bits = self.gammas, self.last_mode, self.last_bits
+        q, theta = self.q.tolist(), self.theta.tolist()
         for u, qs in enumerate(self.queues):
-            gamma = cl.optimize_gamma(qs.theta, utility, video.d_min, video.d_max)
+            gamma = cl.optimize_gamma(theta[u], utility, video.d_min, video.d_max)
             gammas[u] = gamma
             i = (starts[u] + k) % profile.num_chunks
-            m = cl.request_chunk(qs, profile, i)
-            last_mode[u], last_bits[u] = m, profile.size_bits[i][m - 1]
-            cl.update_virtual_queue(qs, gamma, profile.quality[i][m - 1])
+            m = cl.request_chunk(qs, q[u], theta[u], profile, i)
+            bits = profile.size_bits[i][m - 1]
+            last_mode[u], last_bits[u] = m, bits
+            q[u] += bits
+            theta[u] = cl.update_virtual_queue(theta[u], gamma, profile.quality[i][m - 1])
+        self.q[:] = q
+        self.theta[:] = theta
 
     def refresh_topology(self, t: int) -> None:
         """Under mobility, slot t's gains and every helper's rate table; edges and association stay slot 0's."""
@@ -206,7 +219,8 @@ class RunState:
         """Every helper's subset for slot t; returns (per-edge bits, bits delivered per user)."""
         if self.cfg.policy == "dpp":
             # Max-weight reads the backlogs of scheduler_staleness slots ago (slot 0's early on).
-            self.weight_history.append(np.fromiter((qs.q for qs in self.queues), dtype=float, count=self.n_users))
+            # A copy: the history must keep past backlogs, not views of the live vector.
+            self.weight_history.append(self.q.copy())
             per_edge, subsets = sched.max_weight_slot(self.tables, self.weight_history[0])
         else:
             per_edge, subsets = sched.round_robin_slot(self.rr, self.tables, self.n_users)
@@ -220,9 +234,12 @@ class RunState:
 
     def drain(self, delivered: np.ndarray, k: int) -> None:
         """Drain each served user's bits; completed chunks are credited to video slot k + 1."""
+        served = np.flatnonzero(delivered)
+        bits = delivered[served]
+        cl.drain_backlog(self.q, served, bits)
         queues, players = self.queues, self.players
-        for u in np.flatnonzero(delivered):
-            completed = cl.drain_bits(queues[u], int(delivered[u]))
+        for u, b in zip(served.tolist(), bits.tolist()):
+            completed = cl.drain_bits(queues[u], b)
             if completed:
                 pb.record_arrivals(players[u], completed, k + 1)
 
@@ -230,8 +247,8 @@ class RunState:
         """One client trace row per user for chunk slot t, after its drain."""
         rows = self.traces["client"]
         gammas, last_mode, last_bits = self.gammas, self.last_mode, self.last_bits
-        for u, qs in enumerate(self.queues):
-            rows.append((t, u, qs.q, qs.theta, gammas[u], int(last_mode[u]), int(last_bits[u]), int(delivered[u])))
+        for u, (q, theta) in enumerate(zip(self.q.tolist(), self.theta.tolist())):
+            rows.append((t, u, q, theta, gammas[u], int(last_mode[u]), int(last_bits[u]), int(delivered[u])))
 
     def check(self, t: int, per_edge: np.ndarray, delivered: np.ndarray) -> None:
         """Raise unless slot t's bits match the receiver model and every queue and player is consistent."""
@@ -242,8 +259,8 @@ class RunState:
             raise RuntimeError(f"slot {t}: delivered bits are not the {receiver} receiver's view")
         if (delivered > advanced_view).any():
             raise RuntimeError(f"slot {t}: delivered bits exceed the advanced receiver's view")
-        for u, (qs, ps) in enumerate(zip(self.queues, self.players)):
-            broken = qs.broken_identity()
+        for u, (q, qs, ps) in enumerate(zip(self.q.tolist(), self.queues, self.players)):
+            broken = qs.broken_identity(q)
             if broken is not None:
                 raise RuntimeError(f"slot {t}: user {u} {broken}")
             if ps.arrived != qs.head:
@@ -252,7 +269,7 @@ class RunState:
                 raise RuntimeError(f"slot {t}: user {u} played a chunk that never arrived")
 
     def drained(self) -> bool:
-        return all(qs.q == 0 for qs in self.queues)
+        return not self.q.any()
 
     def finished(self) -> bool:
         return all(ps.phase == pb.FINISHED for ps in self.players)
@@ -262,7 +279,7 @@ class RunState:
         cfg, sum_q, sum_theta = self.cfg, self.sum_q, self.sum_theta
         users = []
         d_bar = np.zeros(self.n_users)
-        for u, (qs, ps) in enumerate(zip(self.queues, self.players)):
+        for u, (q, qs, ps) in enumerate(zip(self.q.tolist(), self.queues, self.players)):
             requested = qs.requested_chunks
             d_bar[u] = qs.delivered_quality / requested if requested else 0.0
             # UserResult extends the playback QoE metrics with the queue side.
@@ -270,7 +287,7 @@ class RunState:
                 user_id=u, requested_chunks=requested, delivered_chunk_ids=tuple(range(ps.arrived)),
                 mean_quality_over_requested=float(d_bar[u]), mean_q_bits=float(sum_q[u] / slots_run),
                 mean_theta=float(sum_theta[u] / slots_run), playback_finished=ps.phase == pb.FINISHED,
-                queue_drained=qs.q == 0, **vars(pb.qoe_metrics(ps, qs.delivered_quality)),
+                queue_drained=q == 0, **vars(pb.qoe_metrics(ps, qs.delivered_quality)),
             ))
         utility_defined = bool(self.n_users and (d_bar > 0).all())
         utility = float(sum(cl.utility(cfg.utility.alpha, x) for x in d_bar)) if utility_defined else float("nan")
@@ -286,7 +303,8 @@ def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = F
     """Simulate one configuration end to end and summarize per-user QoE.
 
     check_invariants asserts the queue/cursor accounting identities and the
-    playback consumption bound on every slot (slower; used by the fuzz tests).
+    playback consumption bound on every slot (slower; the parity matrix, the
+    acceptance criteria and the engine tests run with it).
     """
     st = RunState(cfg, collect_traces)
     n, chunks = cfg.n, cfg.session_chunks

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from streamsched import engine, validate
-from streamsched.client import RequestQueueState, UtilityConfig, optimize_gamma, select_mode
+from streamsched.client import UtilityConfig, optimize_gamma, select_mode
 from streamsched.config import build_config
 from streamsched.video import synth_catalog
 
@@ -40,15 +40,15 @@ def test_criterion_2_mode_selection_matches_scan_and_gamma_matches_clamp():
     rng = np.random.default_rng(23)
     catalog = synth_catalog([(25, 8, 2500.0), (25, 4, 700.0)], seed=4)
     for case in range(1000):
-        qs = RequestQueueState(q=float(10.0 ** rng.uniform(0, 7)) * (rng.uniform() > 0.1),
-                               theta=float(10.0 ** rng.uniform(0, 7)) * (rng.uniform() > 0.1))
+        q = float(10.0 ** rng.uniform(0, 7)) * (rng.uniform() > 0.1)
+        theta = float(10.0 ** rng.uniform(0, 7)) * (rng.uniform() > 0.1)
         i = int(rng.integers(0, catalog.num_chunks))
         scores = {
-            m: qs.q * catalog.size_bits[i][m - 1] - qs.theta * catalog.quality[i][m - 1]
+            m: q * catalog.size_bits[i][m - 1] - theta * catalog.quality[i][m - 1]
             for m in range(1, len(catalog.quality[i]) + 1)
         }
         expected = min(scores, key=lambda m: (scores[m], m))
-        assert select_mode(qs, catalog, i) == expected, f"case {case}"
+        assert select_mode(q, theta, catalog, i) == expected, f"case {case}"
 
     for alpha in (1.0, 2.0):
         for case in range(1000):

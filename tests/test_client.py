@@ -1,4 +1,5 @@
 import math
+import re
 from collections import deque
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from streamsched.client import (
     RequestQueueState,
     UtilityConfig,
+    drain_backlog,
     drain_bits,
     optimize_gamma,
     request_chunk,
@@ -27,9 +29,16 @@ def profile_2x3():
 
 
 def outstanding(*chunks):
-    """A queue holding session chunks 0.. as (cumulative end, quality), none consumed."""
+    """A ledger holding session chunks 0.. as (cumulative end, quality), none consumed."""
     end = chunks[-1][0]
-    return RequestQueueState(q=float(end), chunks=deque(chunks), requested_chunks=len(chunks), requested_bits=end)
+    return RequestQueueState(chunks=deque(chunks), requested_chunks=len(chunks), requested_bits=end)
+
+
+def drain(qs, q, delivered_bits):
+    """Drain one user's ledger and its backlog, as the engine does; returns (completed ids, new backlog)."""
+    backlog = np.array([q])
+    drain_backlog(backlog, np.array([0]), np.array([delivered_bits]))
+    return drain_bits(qs, delivered_bits), backlog.tolist()[0]
 
 
 def test_utility_values():
@@ -46,13 +55,11 @@ def test_utility_domain():
 
 
 def test_select_mode_zero_queue_takes_top_mode():
-    qs = RequestQueueState(q=0.0, theta=5.0)
-    assert select_mode(qs, profile_2x3(), 0) == 3
+    assert select_mode(0.0, 5.0, profile_2x3(), 0) == 3
 
 
 def test_select_mode_zero_theta_takes_bottom_mode():
-    qs = RequestQueueState(q=10.0, theta=0.0)
-    assert select_mode(qs, profile_2x3(), 1) == 1
+    assert select_mode(10.0, 0.0, profile_2x3(), 1) == 1
 
 
 def test_select_mode_matches_independent_scan():
@@ -60,14 +67,14 @@ def test_select_mode_matches_independent_scan():
     rng = np.random.default_rng(6)
     catalog = synth_catalog([(20, 6, 800.0)], seed=12)
     for _ in range(400):
-        qs = RequestQueueState(q=float(rng.uniform(0, 1e7)), theta=float(rng.uniform(0, 1e7)))
+        q, theta = float(rng.uniform(0, 1e7)), float(rng.uniform(0, 1e7))
         i = int(rng.integers(0, catalog.num_chunks))
         scores = {
-            m: qs.q * catalog.size_bits[i][m - 1] - qs.theta * catalog.quality[i][m - 1]
+            m: q * catalog.size_bits[i][m - 1] - theta * catalog.quality[i][m - 1]
             for m in range(1, len(catalog.quality[i]) + 1)
         }
         expected = min(scores, key=lambda m: (scores[m], m))
-        assert select_mode(qs, catalog, i) == expected
+        assert select_mode(q, theta, catalog, i) == expected
 
 
 def test_select_mode_scaling_invariance():
@@ -77,51 +84,49 @@ def test_select_mode_scaling_invariance():
         q, theta = float(rng.uniform(0, 1e5)), float(rng.uniform(0, 1e5))
         c = float(10.0 ** rng.uniform(-3, 3))
         i = int(rng.integers(0, catalog.num_chunks))
-        assert select_mode(RequestQueueState(q=q, theta=theta), catalog, i) == select_mode(
-            RequestQueueState(q=q * c, theta=theta * c), catalog, i
-        )
+        assert select_mode(q, theta, catalog, i) == select_mode(q * c, theta * c, catalog, i)
 
 
 def test_request_chunk_first_request_sets_queue():
     p = profile_2x3()
-    qs = RequestQueueState(theta=3.0)
-    m = request_chunk(qs, p, 1)
-    assert m == select_mode(RequestQueueState(theta=3.0), p, 1)
-    assert qs.q == qs.requested_bits == p.size_bits[1][m - 1]
+    qs = RequestQueueState()
+    m = request_chunk(qs, 0.0, 3.0, p, 1)
+    assert m == select_mode(0.0, 3.0, p, 1)
+    assert qs.requested_bits == p.size_bits[1][m - 1]
     assert list(qs.chunks) == [(p.size_bits[1][m - 1], p.quality[1][m - 1])]
     assert qs.head == 0 and qs.requested_chunks == 1
 
 
 def test_request_chunk_single_mode_forced():
     p = synth_catalog([(4, 1, 500.0)], seed=0)
-    qs = RequestQueueState(q=123.0, theta=456.0)
-    assert request_chunk(qs, p, 0) == 1
+    qs = RequestQueueState()
+    assert request_chunk(qs, 123.0, 456.0, p, 0) == 1
     assert list(qs.chunks) == [(p.size_bits[0][0], p.quality[0][0])]
 
 
 def test_drain_clamp_discards_excess():
     qs = outstanding((100, 0.7))
-    completed = drain_bits(qs, 150)
+    completed, q = drain(qs, 100.0, 150)
     assert completed == [0]
-    assert qs.q == 0.0
+    assert q == 0.0
     assert qs.discarded_bits == 50
     assert qs.consumed_bits == 100
     assert qs.head == 1 and not qs.chunks and qs.delivered_quality == 0.7
-    assert qs.broken_identity() is None
+    assert qs.broken_identity(q) is None
 
 
 def test_drain_zero_is_identity():
     qs = outstanding((60, 0.7))
-    assert drain_bits(qs, 0) == []
-    assert qs.q == 60.0 and qs.head == 0 and qs.consumed_bits == 0
+    assert drain(qs, 60.0, 0) == ([], 60.0)
+    assert qs.head == 0 and qs.consumed_bits == 0
     assert list(qs.chunks) == [(60, 0.7)] and qs.delivered_quality == 0.0
 
 
 def test_drain_head_of_line_order():
     qs = outstanding((60, 0.4), (100, 0.9))
-    completed = drain_bits(qs, 70)
+    completed, q = drain(qs, 100.0, 70)
     assert completed == [0]
-    assert qs.q == 30.0
+    assert q == 30.0
     assert qs.head == 1 and qs.chunks[0][0] - qs.consumed_bits == 30
     assert qs.delivered_quality == 0.4
 
@@ -129,13 +134,16 @@ def test_drain_head_of_line_order():
 def test_drain_completes_several_chunks_then_none_then_discards():
     qualities = (0.1, 0.2, 0.7, 0.3)
     qs = outstanding(*zip((20, 50, 70, 100), qualities))
-    assert drain_bits(qs, 75) == [0, 1, 2]
-    assert drain_bits(qs, 20) == []
-    assert (qs.head, qs.q, qs.consumed_bits) == (3, 5.0, 95)
+    completed, q = drain(qs, 100.0, 75)
+    assert completed == [0, 1, 2]
+    completed, q = drain(qs, q, 20)
+    assert completed == []
+    assert (qs.head, q, qs.consumed_bits) == (3, 5.0, 95)
     assert list(qs.chunks) == [(100, 0.3)]
-    assert drain_bits(qs, 40) == [3]
-    assert (qs.head, qs.q, qs.consumed_bits, qs.discarded_bits, qs.delivered_bits) == (4, 0.0, 100, 35, 135)
-    assert qs.broken_identity() is None
+    completed, q = drain(qs, q, 40)
+    assert completed == [3]
+    assert (qs.head, q, qs.consumed_bits, qs.discarded_bits, qs.delivered_bits) == (4, 0.0, 100, 35, 135)
+    assert qs.broken_identity(q) is None
     # The quality sum adds completed chunks left to right, as sum() over a list does.
     assert qs.delivered_quality == sum(qualities) and not qs.chunks
 
@@ -229,12 +237,9 @@ def test_gamma_maximizes_over_fine_grid():
 
 
 def test_update_virtual_queue_examples():
-    qs = RequestQueueState(theta=0.0)
-    assert update_virtual_queue(qs, 0.5, 0.9) == 0.0
-    qs.theta = 1.0
-    assert update_virtual_queue(qs, 0.5, 0.0) == pytest.approx(1.5)
-    qs.theta = 2.0
-    assert update_virtual_queue(qs, 0.8, 0.8) == pytest.approx(2.0)
+    assert update_virtual_queue(0.0, 0.5, 0.9) == 0.0
+    assert update_virtual_queue(1.0, 0.5, 0.0) == pytest.approx(1.5)
+    assert update_virtual_queue(2.0, 0.8, 0.8) == pytest.approx(2.0)
 
 
 def test_ledger_consistency_under_interleaving():
@@ -244,37 +249,49 @@ def test_ledger_consistency_under_interleaving():
     assert suite.ok, suite.first_failure
 
 
-def _corrupt_head(qs):
+def _corrupt_head(qs, delivered_bits):
     qs.head += 1
 
 
-def _corrupt_ends(qs):
+def _corrupt_ends(qs, delivered_bits):
     if qs.chunks:
         end, quality = qs.chunks[-1]
         qs.chunks[-1] = (end + 1, quality)
 
 
-@pytest.mark.parametrize("corrupt,reason", [
-    (_corrupt_head, "head != first chunk not fully consumed"),
-    (_corrupt_ends, "requested != last chunk end"),
-], ids=["head", "ends"])
-def test_corrupted_cursor_trips_engine_and_fuzz(monkeypatch, corrupt, reason):
+def _corrupt_residual(q, users, delivered_bits):
+    q[users[:1]] += 1
+
+
+def _corrupt_delivered(qs, delivered_bits):
+    qs.discarded_bits += 1
+
+
+@pytest.mark.parametrize("target,corrupt,reason", [
+    ("drain_bits", _corrupt_head, "head != first chunk not fully consumed"),
+    ("drain_bits", _corrupt_ends, "requested != last chunk end"),
+    ("drain_backlog", _corrupt_residual, "requested != consumed + residual"),
+    ("drain_bits", _corrupt_delivered, "delivered != consumed + discarded"),
+], ids=["head", "ends", "residual", "delivered"])
+def test_corrupted_cursor_trips_engine_and_fuzz(monkeypatch, target, corrupt, reason):
+    # The backlog is kept apart from the ledger (the engine's and the fuzz's own
+    # vector), so bumping it breaks the residual identity rather than passing by construction.
     from streamsched import client, engine, validate
     from streamsched.config import config_from_sources
 
-    drain = client.drain_bits
+    original = getattr(client, target)
 
-    def corrupting_drain(qs, delivered_bits):
-        completed = drain(qs, delivered_bits)
-        corrupt(qs)
-        return completed
+    def corrupting(*args):
+        out = original(*args)
+        corrupt(*args)
+        return out
 
-    monkeypatch.setattr(client, "drain_bits", corrupting_drain)
+    monkeypatch.setattr(client, target, corrupting)
     suite = validate.ledger_fuzz(cases=5, seed=5)
     assert suite.passed == 0 and suite.first_failure["reason"] == reason
     # 1000 symbols per slot leave chunks outstanding across drains, so there is an end to corrupt.
     cfg = config_from_sources(None, ("topology.mean_users=4", "session_chunks=3", "mimo.symbols_per_slot=1000"), 1)
-    with pytest.raises(RuntimeError, match=reason):
+    with pytest.raises(RuntimeError, match=re.escape(reason)):
         engine.run(cfg, check_invariants=True)
 
 
@@ -283,10 +300,10 @@ def test_dpp_mode_term_is_minimized_per_slot():
     rng = np.random.default_rng(13)
     catalog = synth_catalog([(15, 8, 2000.0)], seed=2)
     for _ in range(200):
-        qs = RequestQueueState(q=float(rng.uniform(0, 1e6)), theta=float(rng.uniform(0, 1e6)))
+        q, theta = float(rng.uniform(0, 1e6)), float(rng.uniform(0, 1e6))
         i = int(rng.integers(0, catalog.num_chunks))
-        m = select_mode(qs, catalog, i)
-        chosen = qs.q * catalog.size_bits[i][m - 1] - qs.theta * catalog.quality[i][m - 1]
+        m = select_mode(q, theta, catalog, i)
+        chosen = q * catalog.size_bits[i][m - 1] - theta * catalog.quality[i][m - 1]
         for other in range(1, len(catalog.quality[i]) + 1):
-            score = qs.q * catalog.size_bits[i][other - 1] - qs.theta * catalog.quality[i][other - 1]
+            score = q * catalog.size_bits[i][other - 1] - theta * catalog.quality[i][other - 1]
             assert chosen <= score

@@ -210,7 +210,7 @@ def test_scheduler_staleness_delays_the_weights(monkeypatch):
     schedule, max_weight_slot = engine.RunState.schedule, engine.sched.max_weight_slot
 
     def recording_schedule(self, t):
-        backlogs.append([qs.q for qs in self.queues])
+        backlogs.append(self.q.tolist())
         return schedule(self, t)
 
     def recording_max_weight_slot(tables, w):
@@ -322,6 +322,15 @@ def test_traced_results_match_pinned_digests(overrides, digest):
     res = run(build_config(small_flat(**overrides)), collect_traces=True)
     assert all(res.traces.values())
     assert hashlib.sha256(repr(res).encode()).hexdigest() == digest
+
+
+def test_backlog_values_reach_results_as_python_scalars():
+    # q and theta live in numpy vectors; the pinned digests hash repr(SimResult),
+    # where a numpy scalar would print differently from the float or bool it equals.
+    res = run(build_config(small_flat()), collect_traces=True)
+    rows = res.traces["client"]
+    assert rows and all(type(q) is float and type(theta) is float for _, _, q, theta, *_ in rows)
+    assert all(type(u.queue_drained) is bool and type(u.mean_q_bits) is float for u in res.users)
 
 
 def test_session_wraps_around_short_catalog():
