@@ -85,48 +85,38 @@ def greedy_from_rates(weights: np.ndarray, rows: np.ndarray, ids: np.ndarray) ->
 
     For each size S, candidates are the top-S users by weight * rate, equal
     values breaking toward the lower id; the best size wins, ties toward
-    smaller S. Only the top s_eff = min(s_max, N) users of a row can matter,
-    so each row is partitioned for them (O(N)) and just those are ordered by
-    (-value, column); when s_eff == N the partition keeps every column. A row
-    whose s_eff-th value ties one outside the partition, as when fewer than
-    s_eff users have nonzero weight, is stably sorted whole instead
-    (O(N log N) for that row). This ranks exactly as a stable sort of the
-    full row, and the prefix sums run over the same values in the same order.
-    The returned objective is the winning prefix sum.
+    smaller S. The returned objective is the winning prefix sum.
+
+    Only s_eff = min(s_max, N) rows matter, and only a few columns can reach
+    any row's top S, so the kernel keeps just those and ranks that block with
+    a stable sort: the same subset and the same prefix-sum bits as a stable
+    sort of every whole row, for any finite rows. Partitioning the last row
+    picks some s_eff columns T; lam[S-1], the S-th largest of row S over T, is
+    at most the S-th largest of the whole row, so a column below lam in every
+    row has S values strictly above it in each row S and is in no top S under
+    any tie-break. Every column of T is at or above lam in the last row, so at
+    least s_eff columns stay, and they stay in column order, so the block's
+    stable sort ranks each row's top S as the whole row's would. With
+    s_eff == 1 the winner is the row's first maximum, which is np.argmax, and
+    a one-term prefix sum is that value.
     """
     if not len(ids):
         return (), 0.0
     s_eff = min(rows.shape[0], len(ids))
     weighted = weights * rows[:s_eff]
-    order = _top_k_order(weighted, s_eff)
-    diag = np.arange(s_eff)
-    ranked = weighted[diag[:, None], order]
-    objectives = np.cumsum(ranked, axis=1)[diag, diag]
+    if s_eff == 1:
+        j = int(np.argmax(weighted[0]))
+        return (int(ids[j]),), float(weighted[0, j])
+    n = len(ids)
+    top = np.argpartition(weighted[-1], n - s_eff)[n - s_eff :]
+    lam = np.sort(weighted.take(top, axis=1), axis=1)[:, ::-1].diagonal()
+    cand = np.flatnonzero((weighted >= lam[:, None]).any(axis=0))
+    block = weighted.take(cand, axis=1)
+    order = np.argsort(-block, axis=1, kind="stable")[:, :s_eff]
+    objectives = np.cumsum(np.take_along_axis(block, order, axis=1), axis=1).diagonal()
     best_s = int(np.argmax(objectives))  # first max, so ties go to the smaller size
-    chosen = np.sort(order[best_s, : best_s + 1])
+    chosen = np.sort(cand[order[best_s, : best_s + 1]])
     return tuple(ids[chosen].tolist()), float(objectives[best_s])
-
-
-def _top_k_order(weighted: np.ndarray, k: int) -> np.ndarray:
-    """Columns of each row's k largest values, as a stable descending sort ranks them.
-
-    (rows, k) int array. Ties break toward the lower column, and -0.0 ranks
-    equal to 0.0, both as in the stable sort.
-    """
-    n = weighted.shape[1]
-    r = np.arange(len(weighted))[:, None]
-    top = np.argpartition(weighted, n - k, axis=1)[:, n - k :]
-    top_values = weighted[r, top]
-    order = top[r, np.lexsort((top, -top_values), axis=1)]
-    # top_values[:, 0] is the partition point, each row's k-th largest value;
-    # a row with more than k values at or above it has a tie the partition split.
-    # Few calls have one, and one flat count rules them out ~10x cheaper than
-    # the per-row count.
-    at_or_above = weighted >= top_values[:, :1]
-    if np.count_nonzero(at_or_above) > order.size:
-        for row in np.flatnonzero(np.count_nonzero(at_or_above, axis=1) > k):
-            order[row] = np.argsort(-weighted[row], kind="stable")[:k]
-    return order
 
 
 def exhaustive_select(weights: np.ndarray, rows: np.ndarray, ids: np.ndarray) -> tuple[tuple[int, ...], float]:

@@ -97,7 +97,7 @@ def _tied_instance(rng, n, s_max, kind):
 
 
 def test_greedy_ranks_as_a_full_stable_sort():
-    """The partitioned kernel picks the subset and objective bits of the stable-sort kernel."""
+    """On hardened rate rows the kernel picks the subset and objective bits of the stable-sort kernel."""
     rng = np.random.default_rng(2024)
     cases = [(n, s, kind) for n in range(1, 13) for s in (1, 4, 10) for kind in ("zero", "mostly_zero", "repeated")]
     cases += [(int(rng.integers(1, 601)), int(rng.integers(1, 11)), kind)
@@ -106,8 +106,60 @@ def test_greedy_ranks_as_a_full_stable_sort():
         weights, rows, ids = _tied_instance(rng, n, s_max, kind)
         got = greedy_from_rates(weights, rows, ids)
         want = _full_sort_greedy(weights, rows, ids)
-        assert got[0] == want[0], (n, s_max, kind)
-        assert got[1] == want[1], (n, s_max, kind)
+        assert (got[0], got[1].hex()) == (want[0], want[1].hex()), (n, s_max, kind)
+
+
+def _arbitrary_instance(rng, n, s_max, kind):
+    """Weights and finite rows with no rate structure: rows need not fall with S, and may be negative."""
+    if kind == "normal":
+        return rng.normal(size=n) * 10.0 ** int(rng.integers(-3, 4)), rng.normal(size=(s_max, n))
+    if kind == "small_ints":  # exact ties at every threshold, lam's included
+        return rng.integers(0, 3, n).astype(float), rng.integers(0, 4, (s_max, n)).astype(float)
+    rows = rng.uniform(0, 8, (s_max, n))
+    if kind == "zero":
+        return np.zeros(n), rows
+    if kind == "signed_zero":
+        return np.where(rng.uniform(size=n) < 0.5, 0.0, -0.0), rows
+    return np.where(rng.uniform(size=n) < 0.9, 0.0, rng.integers(1, 4, n).astype(float)), rows  # "mostly_zero"
+
+
+def _outside_the_top_instances():
+    """Three users-of-600 instances whose winners a top-s_eff partition of one row would miss or misorder."""
+    n = 600
+    # User 599 wins S=1 alone but has 0 in the last row (S=3), whose top 3 are users 0-2.
+    last_out = np.ones((3, n))
+    last_out[0, 599], last_out[2] = 100.0, 2.0
+    last_out[2, 599] = 0.0
+    # User 599 is last in row 1 but tops row 3, so the best size 3 takes it: (0, 1, 599).
+    first_out = np.ones((3, n))
+    first_out[0], first_out[0, :3] = 0.0, 10.0
+    first_out[2, 599] = 50.0
+    # The last row's top 3 are users 10, 20, 30; row 1 ties every user at the threshold those
+    # users set, so the lowest id, user 0, wins S=1 alone.
+    tied = np.zeros((3, n))
+    tied[0], tied[2, [10, 20, 30]] = 20.0, 5.0
+    return [(np.ones(n), last_out, (599,)), (np.ones(n), first_out, (0, 1, 599)), (np.ones(n), tied, (0,))]
+
+
+def test_preselection_equals_a_full_stable_sort_bit_for_bit():
+    """Any finite rows: the candidate block ranks as the stable sort of every whole row.
+
+    Covers s_eff = 1 and s_eff = n, exact ties at the threshold, all-zero,
+    signed-zero and mostly-zero weights, and up to 600 users.
+    """
+    ids = np.arange(600)
+    for weights, rows, subset in _outside_the_top_instances():
+        got, want = greedy_from_rates(weights, rows, ids), _full_sort_greedy(weights, rows, ids)
+        assert got[0] == want[0] == subset and got[1].hex() == want[1].hex()
+    rng = np.random.default_rng(19)
+    kinds = ("normal", "small_ints", "zero", "signed_zero", "mostly_zero")
+    cases = [(n, s, kind) for n in range(1, 9) for s in (1, 3, 8) for kind in kinds]
+    cases += [(int(rng.integers(1, 601)), int(rng.integers(1, 13)), kind) for _ in range(60) for kind in kinds]
+    for n, s_max, kind in cases:
+        weights, rows = _arbitrary_instance(rng, n, s_max, kind)
+        got = greedy_from_rates(weights, rows, ids[:n] * 3 + 1)
+        want = _full_sort_greedy(weights, rows, ids[:n] * 3 + 1)
+        assert (got[0], got[1].hex()) == (want[0], want[1].hex()), (n, s_max, kind)
 
 
 def test_greedy_breaks_ties_at_the_partition_toward_lower_ids():
