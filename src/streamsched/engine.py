@@ -246,9 +246,9 @@ class RunState:
     def trace_requests(self, t: int, delivered: np.ndarray) -> None:
         """One client trace row per user for chunk slot t, after its drain."""
         rows = self.traces["client"]
-        gammas, last_mode, last_bits = self.gammas, self.last_mode, self.last_bits
-        for u, (q, theta) in enumerate(zip(self.q.tolist(), self.theta.tolist())):
-            rows.append((t, u, q, theta, gammas[u], int(last_mode[u]), int(last_bits[u]), int(delivered[u])))
+        last_mode, last_bits = self.last_mode, self.last_bits
+        for u, (q, theta, gamma) in enumerate(zip(self.q.tolist(), self.theta.tolist(), self.gammas.tolist())):
+            rows.append((t, u, q, theta, gamma, int(last_mode[u]), int(last_bits[u]), int(delivered[u])))
 
     def check(self, t: int, per_edge: np.ndarray, delivered: np.ndarray) -> None:
         """Raise unless slot t's bits match the receiver model and every queue and player is consistent."""

@@ -305,15 +305,15 @@ def test_unfinished_users_still_report_metrics():
 
 # sha256 of repr(SimResult) for traced small_flat() runs; repr covers every
 # result field and every schedule/client/playback trace row. A refactor that
-# changes one bit of a result or a trace changes these. They assume numpy 2
-# scalar reprs: the client trace's gamma column holds np.float64 values. The
+# changes one bit of a result or a trace changes these. Every traced value is
+# a Python scalar, so the digests do not depend on numpy's scalar repr. The
 # first two drain; the overloaded run stops at the drain limit, so after the
 # loop it steps only the final partial video slot. Playback rows cover every
 # stepped player-slot, the ones stepped after the loop included: 64, 64, 30.
 PINNED_RESULT_DIGESTS = [
-    ({}, "7a07c3afe344b4bdce462102c11897deefe66008477002ad79493febda5d6858"),
-    ({"policy": "baseline", "receiver": "dumb"}, "567cde7f56865a763743408dadc7880d627cc9533f8f5fd5d05b73160e27eb66"),
-    (OVERLOADED, "40453cb0f2ea61bd667eb689f348fa8c6187429db48b411f012e4c6446c2e017"),
+    ({}, "5c7005dd30460bcc40b800e9949d657b38ea994613ae00ccbec0f53631856fc0"),
+    ({"policy": "baseline", "receiver": "dumb"}, "168923308b669025efc3bc5db2d3c967c0729369bd15c79b1c83f886fec82c78"),
+    (OVERLOADED, "b5c7bfaaeea10620cb41e2efcb3b75806a91f01277a6baabc3a4cd31d866d392"),
 ]
 
 
@@ -325,11 +325,12 @@ def test_traced_results_match_pinned_digests(overrides, digest):
 
 
 def test_backlog_values_reach_results_as_python_scalars():
-    # q and theta live in numpy vectors; the pinned digests hash repr(SimResult),
+    # q, theta and gamma live in numpy vectors; the pinned digests hash repr(SimResult),
     # where a numpy scalar would print differently from the float or bool it equals.
     res = run(build_config(small_flat()), collect_traces=True)
     rows = res.traces["client"]
-    assert rows and all(type(q) is float and type(theta) is float for _, _, q, theta, *_ in rows)
+    assert rows and all(type(q) is float and type(theta) is float and type(gamma) is float
+                        for _, _, q, theta, gamma, *_ in rows)
     assert all(type(u.queue_drained) is bool and type(u.mean_q_bits) is float for u in res.users)
 
 
