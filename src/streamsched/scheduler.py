@@ -115,7 +115,7 @@ def greedy_from_rates(weights: np.ndarray, rows: np.ndarray, ids: np.ndarray) ->
     cand = np.flatnonzero((weighted >= lam[:, None]).any(axis=0))
     block = weighted.take(cand, axis=1)
     order = np.argsort(-block, axis=1, kind="stable")[:, :s_eff]
-    objectives = np.cumsum(np.take_along_axis(block, order, axis=1), axis=1).diagonal()
+    objectives = np.cumsum(block[np.arange(s_eff)[:, None], order], axis=1).diagonal()
     best_s = int(np.argmax(objectives))  # first max, so ties go to the smaller size
     chosen = np.sort(cand[order[best_s, : best_s + 1]])
     return tuple(ids[chosen].tolist()), float(objectives[best_s])
