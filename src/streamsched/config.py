@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, field, is_dataclass
 from typing import Callable, Iterable, NamedTuple, get_type_hints
 
@@ -137,8 +138,8 @@ class SimConfig:
             raise ConfigError("drain_limit_slots must be nonnegative")
         if self.t_gop_seconds <= 0 or self.slot_seconds <= 0:
             raise ConfigError("t_gop_seconds and slot_seconds must be positive")
-        if self.scheduler_staleness < 0:
-            raise ConfigError("scheduler_staleness must be nonnegative")
+        if not 0 <= self.scheduler_staleness < sys.maxsize:  # the engine's deque of staleness + 1 weights
+            raise ConfigError(f"scheduler_staleness must lie in [0, {sys.maxsize})")
 
     @property
     def effective_drain_limit(self) -> int:

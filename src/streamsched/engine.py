@@ -147,9 +147,12 @@ class RunState:
         self.graph = graph = build_network(cfg, seed_users)
         self.n_users = n_users = len(graph.users)
         v = cfg.video
-        self.profile = synth_catalog(v.segments, seed_catalog, d_min=v.d_min, d_max=v.d_max, sigma=v.sigma,
-                                     ladder_ratio=v.ladder_ratio, t_gop_seconds=cfg.t_gop_seconds)
         # A backlog is a float, exact only while a session's requested bits stay below 2**53.
+        try:
+            self.profile = synth_catalog(v.segments, seed_catalog, d_min=v.d_min, d_max=v.d_max, sigma=v.sigma,
+                                         ladder_ratio=v.ladder_ratio, t_gop_seconds=cfg.t_gop_seconds)
+        except OverflowError as exc:  # a chunk of inf bits, which int() cannot round
+            raise ConfigError("video.segments and t_gop_seconds give a chunk more bits than a float holds") from exc
         session_max = cfg.session_chunks * max(sizes[-1] for sizes in self.profile.size_bits)
         if session_max >= 2**53:
             raise ConfigError(f"video.segments: a session of {cfg.session_chunks} chunks could request up to "

@@ -8,19 +8,20 @@ exactly those (a threshold per row, from one row's partition) and stably
 sorts just that block, ranking it as a stable sort of every whole row would.
 At paper scale it keeps a median of 10 of 500 users; only when fewer than
 s_max users have backlog does it keep them all.
-The exhaustive enumerator `exhaustive_select(weights, rows, ids)` takes the
-greedy kernel's inputs and serves as the testing oracle. The queue-oblivious
-baseline is one class, `RoundRobinState(gains, graph)`: it associates each
-user with its max-RSSI helper and rotates over each helper's users. Under
-waypoint mobility the engine rebuilds the rate tables from each slot's gains,
-but the association stays that of slot 0's gains, as do the graph's edges.
+The exhaustive enumerator `exhaustive_select(weights, rows)` is the testing
+oracle; both it and the kernel return table columns, which `max_weight_slot`
+maps to user ids. The queue-oblivious baseline is one class,
+`RoundRobinState(gains, graph)`: it associates each user with its max-RSSI
+helper and rotates over each helper's users. Under waypoint mobility the
+engine rebuilds the rate tables from each slot's gains, but the association
+stays that of slot 0's gains, as do the graph's edges.
 
 The hardened rate model `log2(1 + ((M - S + 1) / S) * sinr)` of `phy` is
 evaluated in one place, `helper_rate_rows`. `helper_tables` turns those rows
 into per-helper bit budgets, and both per-slot policies, `max_weight_slot` and
 `round_robin_slot`, read their bits from those tables. The engine schedules
 with these functions; the tests and `streamsched validate` check the greedy
-kernel against the oracle on the same table, comparing subsets, or their
+kernel against the oracle on the same table, comparing columns, or their
 objectives as exact rationals when optimal subsets tie.
 """
 from __future__ import annotations
@@ -82,12 +83,12 @@ def helper_rate_rows(
     return ids, rows
 
 
-def greedy_from_rates(weights: np.ndarray, rows: np.ndarray, ids: np.ndarray) -> tuple[tuple[int, ...], float]:
+def greedy_from_rates(weights: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, float]:
     """Sort-&-greedy subset selection from precomputed rate rows.
 
-    For each size S, candidates are the top-S users by weight * rate, equal
-    values breaking toward the lower id; the best size wins, ties toward
-    smaller S. The returned objective is the winning prefix sum.
+    For each size S, candidates are the top-S columns by weight * rate, equal
+    values breaking toward the lower column; the best size wins, ties toward
+    smaller S. Returns the winning columns, ascending, and their prefix sum.
 
     Only s_eff = min(s_max, N) rows matter, and only a few columns can reach
     any row's top S, so the kernel keeps just those and ranks that block with
@@ -102,14 +103,14 @@ def greedy_from_rates(weights: np.ndarray, rows: np.ndarray, ids: np.ndarray) ->
     s_eff == 1 the winner is the row's first maximum, which is np.argmax, and
     a one-term prefix sum is that value.
     """
-    if not len(ids):
-        return (), 0.0
-    s_eff = min(rows.shape[0], len(ids))
+    n = len(weights)
+    if not n:
+        return np.empty(0, dtype=np.intp), 0.0
+    s_eff = min(rows.shape[0], n)
     weighted = weights * rows[:s_eff]
     if s_eff == 1:
-        j = int(np.argmax(weighted[0]))
-        return (int(ids[j]),), float(weighted[0, j])
-    n = len(ids)
+        j = weighted[0].argmax(keepdims=True)
+        return j, float(weighted[0, j[0]])
     top = np.argpartition(weighted[-1], n - s_eff)[n - s_eff :]
     lam = np.sort(weighted.take(top, axis=1), axis=1)[:, ::-1].diagonal()
     cand = np.flatnonzero((weighted >= lam[:, None]).any(axis=0))
@@ -117,40 +118,36 @@ def greedy_from_rates(weights: np.ndarray, rows: np.ndarray, ids: np.ndarray) ->
     order = np.argsort(-block, axis=1, kind="stable")[:, :s_eff]
     objectives = np.cumsum(block[np.arange(s_eff)[:, None], order], axis=1).diagonal()
     best_s = int(np.argmax(objectives))  # first max, so ties go to the smaller size
-    chosen = np.sort(cand[order[best_s, : best_s + 1]])
-    return tuple(ids[chosen].tolist()), float(objectives[best_s])
+    return np.sort(cand[order[best_s, : best_s + 1]]), float(objectives[best_s])
 
 
-def exhaustive_select(weights: np.ndarray, rows: np.ndarray, ids: np.ndarray) -> tuple[tuple[int, ...], float]:
-    """Exact argmax over every nonempty subset of a table's users; testing oracle.
+def exhaustive_select(weights: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, float]:
+    """Exact argmax over every nonempty subset of a table's columns; testing oracle.
 
-    Takes `greedy_from_rates`' inputs. On a float tie the first subset found
-    wins: the smaller size, then the lexicographically lower columns.
+    Takes and returns what `greedy_from_rates` does. On a float tie the first
+    subset found wins: the smaller size, then the lexicographically lower columns.
     """
-    if len(ids) > EXHAUSTIVE_NEIGHBORHOOD_CAP:
-        raise ValueError(f"neighborhood too large for enumeration ({len(ids)} users)")
-    if not len(ids):
-        return (), 0.0
-    best_subset: tuple[int, ...] = ()
-    best_obj = -np.inf
-    for size in range(1, min(rows.shape[0], len(ids)) + 1):
+    n = len(weights)
+    if n > EXHAUSTIVE_NEIGHBORHOOD_CAP:
+        raise ValueError(f"neighborhood too large for enumeration ({n} users)")
+    best_cols: tuple[int, ...] = ()
+    best_obj = -np.inf if n else 0.0
+    for size in range(1, min(rows.shape[0], n) + 1):
         weighted = (weights * rows[size - 1]).tolist()
-        for combo in itertools.combinations(range(len(ids)), size):
+        for combo in itertools.combinations(range(n), size):
             objective = 0.0
             for j in combo:
                 objective += weighted[j]
             if objective > best_obj:
-                best_obj = objective
-                best_subset = tuple(int(ids[j]) for j in combo)
-    return best_subset, best_obj
+                best_obj, best_cols = objective, combo
+    return np.array(best_cols, dtype=np.intp), best_obj
 
 
 class RateTable(NamedTuple):
     """One helper's eligible users and what each would get per subset size S.
 
-    rows[S-1, j] is the bits/symbol and bits[S-1, j] the integer slot budget of
-    user ids[j] when the helper serves S streams; ids ascend, so a user's
-    column is ids.searchsorted(user).
+    rows[S-1, j] and bits[S-1, j] are the bits/symbol and integer slot budget of
+    user ids[j] when the helper serves S streams; ids ascend, as columns do.
     """
 
     ids: np.ndarray
@@ -182,10 +179,11 @@ def max_weight_slot(tables: list[RateTable], weights: np.ndarray) -> tuple[np.nd
     per_edge = np.zeros((len(tables), len(weights)), dtype=np.int64)
     subsets = []
     for h, (ids, rows, bits) in enumerate(tables):
-        subset, _ = greedy_from_rates(weights[ids], rows, ids)
-        subsets.append(subset)
-        if subset:
-            per_edge[h, subset] = bits[len(subset) - 1, ids.searchsorted(subset)]
+        cols, _ = greedy_from_rates(weights[ids], rows)
+        users = ids[cols]
+        subsets.append(tuple(users.tolist()))
+        if len(cols):
+            per_edge[h, users] = bits[len(cols) - 1, cols]
     return per_edge, subsets
 
 

@@ -186,6 +186,10 @@ POISSON = ("topology.user_layout=poisson", "topology.helper_layout=center+quarte
     ("topology.side_m", ("1e-200", "topology.hotspot_side_m=1e-200", *POISSON)),
     ("topology.mean_users", ("1e20", *POISSON)),
     ("topology.hotspot_ratio", ("1e308", *POISSON)),
+    # Chunks whose size in bits overflows a float, and a weight history longer than a deque can hold.
+    ("t_gop_seconds", "1e306"),
+    ("video.segments", "1x2@1e308"),
+    ("scheduler_staleness", "100000000000000000000"),
 ])
 def test_run_nonfinite_value_exits_2(config_file, tmp_path, capsys, key, value):
     value, *more = (value,) if isinstance(value, str) else value
@@ -193,6 +197,7 @@ def test_run_nonfinite_value_exits_2(config_file, tmp_path, capsys, key, value):
     rc = main(["run", "--config", config_file, "--out", str(tmp_path / "o"), *settings])
     assert rc == 2
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_trace_files(config_file, tmp_path):

@@ -21,9 +21,16 @@ CFG = MimoConfig(antennas=8, s_max=4, symbols_per_slot=1000)
 
 
 def greedy(h, weights, state, graph, cfg):
-    """Helper h's greedy pick on the shared table, as max_weight_slot makes it."""
+    """Helper h's greedy pick on the shared table, mapped to user ids as max_weight_slot maps it."""
     ids, rows, _ = helper_tables(state, graph, cfg)[h]
-    return greedy_from_rates(weights[ids], rows, ids)
+    cols, objective = greedy_from_rates(weights[ids], rows)
+    return tuple(ids[cols].tolist()), objective
+
+
+def _bits(result):
+    """A kernel or oracle result as comparable plain values: the columns and the objective's exact bits."""
+    cols, objective = result
+    return cols.tolist(), objective.hex()
 
 
 def test_zero_weights_lowest_id_singleton():
@@ -54,28 +61,28 @@ def test_greedy_vs_exhaustive_passes_optimal_subsets_one_ulp_apart(monkeypatch):
     weights = np.array([7e6, 0.0, 1e6, 2.5e6, 0.0, 1e6])
     cfg = MimoConfig(antennas=20, s_max=3, symbols_per_slot=1000)
     table = helper_tables(state, graph, cfg)[0]
-    g_subset, _ = greedy_from_rates(weights[table.ids], table.rows, table.ids)
-    e_subset, _ = exhaustive_select(weights[table.ids], table.rows, table.ids)
-    assert g_subset != e_subset
-    assert validate.exact_objective(g_subset, weights, table) == validate.exact_objective(e_subset, weights, table)
+    args = weights[table.ids], table.rows
+    g_cols, _ = greedy_from_rates(*args)
+    e_cols, _ = exhaustive_select(*args)
+    assert not np.array_equal(g_cols, e_cols)
+    assert validate.exact_objective(g_cols, *args) == validate.exact_objective(e_cols, *args)
     monkeypatch.setattr(validate, "random_instance", lambda rng: (graph, state, weights, cfg))
     suite = validate.greedy_vs_exhaustive(instances=1)
     assert suite.ok, suite.first_failure
 
 
-def _full_sort_greedy(weights, rows, ids):
+def _full_sort_greedy(weights, rows):
     """Reference kernel: a stable sort of every whole row, prefix sums over all N columns."""
-    if not len(ids):
-        return (), 0.0
-    s_eff = min(rows.shape[0], len(ids))
+    if not len(weights):
+        return np.empty(0, dtype=np.intp), 0.0
+    s_eff = min(rows.shape[0], len(weights))
     weighted = weights * rows[:s_eff]
     order = np.argsort(-weighted, axis=1, kind="stable")
     ranked = np.take_along_axis(weighted, order, axis=1)
     diag = np.arange(s_eff)
     objectives = np.cumsum(ranked, axis=1)[diag, diag]
     best_s = int(np.argmax(objectives))
-    chosen = np.sort(order[best_s, : best_s + 1])
-    return tuple(int(ids[j]) for j in chosen), float(objectives[best_s])
+    return np.sort(order[best_s, : best_s + 1]), float(objectives[best_s])
 
 
 def _tied_instance(rng, n, s_max, kind):
@@ -86,14 +93,14 @@ def _tied_instance(rng, n, s_max, kind):
     """
     gains = rng.choice(rng.uniform(0.01, 1.0, 3), (1, n))
     graph, state = make_graph(gains, antennas=int(rng.choice([10, 12, 40])))
-    ids, rows = helper_rate_rows(0, state, graph, s_max)
+    _, rows = helper_rate_rows(0, state, graph, s_max)
     if kind == "zero":
         weights = np.where(rng.uniform(size=n) < 0.5, 0.0, -0.0)
     elif kind == "mostly_zero":
         weights = np.where(rng.uniform(size=n) < 0.8, 0.0, rng.choice([1.0, 2.0, 3.0], n))
     else:  # "repeated": a handful of weights times a handful of SINRs
         weights = rng.choice([0.0, 1.0, 4.0, 9.0], n) * 10.0 ** int(rng.integers(0, 7))
-    return weights, rows, ids * 3 + 1  # spaced ids: columns and user ids differ
+    return weights, rows
 
 
 def test_greedy_ranks_as_a_full_stable_sort():
@@ -103,10 +110,8 @@ def test_greedy_ranks_as_a_full_stable_sort():
     cases += [(int(rng.integers(1, 601)), int(rng.integers(1, 11)), kind)
               for _ in range(300) for kind in ("zero", "mostly_zero", "repeated")]
     for n, s_max, kind in cases:
-        weights, rows, ids = _tied_instance(rng, n, s_max, kind)
-        got = greedy_from_rates(weights, rows, ids)
-        want = _full_sort_greedy(weights, rows, ids)
-        assert (got[0], got[1].hex()) == (want[0], want[1].hex()), (n, s_max, kind)
+        weights, rows = _tied_instance(rng, n, s_max, kind)
+        assert _bits(greedy_from_rates(weights, rows)) == _bits(_full_sort_greedy(weights, rows)), (n, s_max, kind)
 
 
 def _arbitrary_instance(rng, n, s_max, kind):
@@ -147,19 +152,16 @@ def test_preselection_equals_a_full_stable_sort_bit_for_bit():
     Covers s_eff = 1 and s_eff = n, exact ties at the threshold, all-zero,
     signed-zero and mostly-zero weights, and up to 600 users.
     """
-    ids = np.arange(600)
     for weights, rows, subset in _outside_the_top_instances():
-        got, want = greedy_from_rates(weights, rows, ids), _full_sort_greedy(weights, rows, ids)
-        assert got[0] == want[0] == subset and got[1].hex() == want[1].hex()
+        got = _bits(greedy_from_rates(weights, rows))
+        assert got == _bits(_full_sort_greedy(weights, rows)) and got[0] == list(subset)
     rng = np.random.default_rng(19)
     kinds = ("normal", "small_ints", "zero", "signed_zero", "mostly_zero")
     cases = [(n, s, kind) for n in range(1, 9) for s in (1, 3, 8) for kind in kinds]
     cases += [(int(rng.integers(1, 601)), int(rng.integers(1, 13)), kind) for _ in range(60) for kind in kinds]
     for n, s_max, kind in cases:
         weights, rows = _arbitrary_instance(rng, n, s_max, kind)
-        got = greedy_from_rates(weights, rows, ids[:n] * 3 + 1)
-        want = _full_sort_greedy(weights, rows, ids[:n] * 3 + 1)
-        assert (got[0], got[1].hex()) == (want[0], want[1].hex()), (n, s_max, kind)
+        assert _bits(greedy_from_rates(weights, rows)) == _bits(_full_sort_greedy(weights, rows)), (n, s_max, kind)
 
 
 def test_greedy_breaks_ties_at_the_partition_toward_lower_ids():
@@ -174,11 +176,10 @@ def test_greedy_breaks_ties_at_the_partition_toward_lower_ids():
         (ties, m40[:2], (3, 7)),  # a clear winner, then columns 7 and 500 tie across the partition
         (inner, m10, (105, 508)),  # the tie sits inside the partition, and the best size 2 splits it
     ]
-    ids = np.arange(600)
     for weights, rows, subset in cases:
-        got = greedy_from_rates(weights, rows, ids)
-        assert got == _full_sort_greedy(weights, rows, ids)
-        assert got[0] == subset
+        got = _bits(greedy_from_rates(weights, rows))
+        assert got == _bits(_full_sort_greedy(weights, rows))
+        assert got[0] == list(subset)
 
 
 def test_greedy_equals_exhaustive_on_tied_neighborhoods():
@@ -196,9 +197,10 @@ def test_greedy_equals_exhaustive_on_tied_neighborhoods():
         graph, state = make_graph(gains, tx_powers=rng.uniform(1, 50, n_h), antennas=cfg.antennas)
         weights = rng.choice([0.0, 0.0, 1.0, 2.5, 7.0], n) * 10.0 ** int(rng.integers(0, 7))
         table = helper_tables(state, graph, cfg)[0]
-        g_subset, _ = greedy_from_rates(weights[table.ids], table.rows, table.ids)
-        e_subset, _ = exhaustive_select(weights[table.ids], table.rows, table.ids)
-        assert validate.exact_objective(g_subset, weights, table) == validate.exact_objective(e_subset, weights, table)
+        args = weights[table.ids], table.rows
+        g_cols, _ = greedy_from_rates(*args)
+        e_cols, _ = exhaustive_select(*args)
+        assert validate.exact_objective(g_cols, *args) == validate.exact_objective(e_cols, *args)
 
 
 def test_weight_scaling_leaves_subset_unchanged():
@@ -214,9 +216,9 @@ def test_weight_scaling_leaves_subset_unchanged():
 
 def test_exhaustive_neighborhood_cap():
     graph, state = make_graph(np.ones((1, 21)))
-    ids, rows, _ = helper_tables(state, graph, CFG)[0]
+    _, rows, _ = helper_tables(state, graph, CFG)[0]
     with pytest.raises(ValueError):
-        exhaustive_select(np.ones(21), rows, ids)
+        exhaustive_select(np.ones(21), rows)
 
 
 def test_exhaustive_su_reduction():
@@ -227,9 +229,9 @@ def test_exhaustive_su_reduction():
     graph, state = make_graph(gains)
     cfg = MimoConfig(antennas=8, s_max=1, symbols_per_slot=1000)
     ids, rows, _ = helper_tables(state, graph, cfg)[0]
-    subset, _ = exhaustive_select(weights[ids], rows, ids)
+    cols, _ = exhaustive_select(weights[ids], rows)
     scores = weights * np.log2(1 + 8 * 20.0 * gains[0])
-    assert subset == (int(np.argmax(scores)),)
+    assert ids[cols].tolist() == [int(np.argmax(scores))]
 
 
 def test_schedule_network_single_user_full_su_rate(single_link):
@@ -248,9 +250,38 @@ def test_schedule_network_decouples_disjoint_neighborhoods():
     tables = helper_tables(state, graph, CFG)
     _, subsets = max_weight_slot(tables, weights)
     for h, (ids, rows, _) in enumerate(tables):
-        solo = exhaustive_select(weights[ids], rows, ids)[0]
+        solo = tuple(ids[exhaustive_select(weights[ids], rows)[0]].tolist())
         assert subsets[h] == solo
         assert set(solo) <= set(np.flatnonzero(adjacency[h]))
+
+
+def test_max_weight_slot_maps_columns_to_user_ids():
+    """Each helper's subset and per-edge bits are the full-sort kernel's columns, mapped through ids.
+
+    Adjacency gaps make a table's columns differ from the user ids.
+    """
+    rng = np.random.default_rng(20)
+    gapped = 0
+    for _ in range(200):
+        n_h, n_u = int(rng.integers(2, 5)), int(rng.integers(1, 40))
+        adjacency = rng.uniform(size=(n_h, n_u)) < 0.5
+        adjacency[0] |= ~adjacency.any(axis=0)  # every user keeps an edge
+        gains = rng.choice(rng.uniform(0.01, 1.0, 3), (n_h, n_u))  # repeated SINRs, so columns tie
+        graph, state = make_graph(gains, adjacency=adjacency)
+        cfg = MimoConfig(antennas=8, s_max=int(rng.integers(1, 6)), symbols_per_slot=1000)
+        weights = rng.choice([0.0, 1.0, 4.0], n_u) * 10.0 ** int(rng.integers(0, 7))
+        tables = helper_tables(state, graph, cfg)
+        per_edge, subsets = max_weight_slot(tables, weights)
+        for h, (ids, rows, bits) in enumerate(tables):
+            gapped += not np.array_equal(ids, np.arange(len(ids)))
+            cols, _ = _full_sort_greedy(weights[ids], rows)
+            users = ids[cols]
+            assert subsets[h] == tuple(users.tolist())
+            want = np.zeros(n_u, dtype=np.int64)
+            if len(cols):
+                want[users] = bits[len(cols) - 1, cols]
+            assert np.array_equal(per_edge[h], want)
+    assert gapped > 100
 
 
 def test_shared_user_sum_vs_max_aggregation():
