@@ -12,12 +12,13 @@ that user's Q and theta as scalars, because the benchmark tracer counts them
 by name (ROADMAP item 1 re-keys it).
 
 Users request in lockstep: at every chunk slot the engine asks each user for
-its next chunk, so a request takes the catalog index and keeps no session
-state here. Chunks are requested in session order and consumed head-of-line,
-so the chunk ledger (`RequestQueueState`) keeps only the outstanding run
-head .. requested_chunks - 1: a chunk completes once the consumed bits reach
-its cumulative end, and leaves as a count (head) and a running quality sum,
-so the state stays bounded.
+its next chunk, so a request takes the catalog index, keeps no session state
+here and returns the (mode, bits, quality) it appended to the ledger. Chunks
+are requested in session order and consumed head-of-line, so the chunk
+ledger (`RequestQueueState`) keeps only the outstanding run head ..
+requested_chunks - 1: a chunk completes once the consumed bits reach its
+cumulative end, and leaves as a count (head) and a running quality sum, so
+the state stays bounded.
 """
 from __future__ import annotations
 
@@ -98,18 +99,21 @@ def select_mode(q: float, theta: float, profile: QualityRateProfile, i: int) -> 
     return best_mode
 
 
-def request_chunk(qs: RequestQueueState, q: float, theta: float, profile: QualityRateProfile, i: int) -> int:
+def request_chunk(
+    qs: RequestQueueState, q: float, theta: float, profile: QualityRateProfile, i: int
+) -> tuple[int, int, float]:
     """Request catalog chunk i as the session's next chunk, chosen at backlog q and virtual queue theta.
 
-    Returns the chosen mode. The chunk joins the ledger at once, and the
-    caller adds its bits to the backlog; delivery happens over later drains.
+    Returns (mode, bits, quality), the rung appended to the ledger. The chunk
+    joins the ledger at once, and the caller adds its bits to the backlog;
+    delivery happens over later drains.
     """
     m = select_mode(q, theta, profile, i)
-    bits = profile.size_bits[i][m - 1]
+    bits, quality = profile.size_bits[i][m - 1], profile.quality[i][m - 1]
     qs.requested_bits += bits
     qs.requested_chunks += 1
-    qs.chunks.append((qs.requested_bits, profile.quality[i][m - 1]))
-    return m
+    qs.chunks.append((qs.requested_bits, quality))
+    return m, bits, quality
 
 
 def drain_bits(qs: RequestQueueState, delivered_bits: int) -> list[int]:

@@ -32,6 +32,10 @@ Segments = tuple[tuple[int, int, float], ...]
 
 # No larger population fits in memory or could be simulated; numpy refuses Poisson means above about 9.2e18.
 MAX_MEAN_USERS = 10**7
+# Every slot runs in Python: about 18 µs for one user on one helper and 0.5 ms at paper scale (2-core x86
+# VM), so 10**7 slots take minutes to hours. Past that, a huge n or drain limit would hang, not exit; the
+# paper default runs 60,000 slots.
+MAX_RUN_SLOTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -140,6 +144,9 @@ class SimConfig:
             raise ConfigError("t_gop_seconds and slot_seconds must be positive")
         if not 0 <= self.scheduler_staleness < sys.maxsize:  # the engine's deque of staleness + 1 weights
             raise ConfigError(f"scheduler_staleness must lie in [0, {sys.maxsize})")
+        if self.session_chunks * self.n + self.effective_drain_limit > MAX_RUN_SLOTS:
+            raise ConfigError(f"session_chunks * n + drain_limit_slots (0 means 200 * n) must not exceed "
+                              f"{MAX_RUN_SLOTS} slots")
 
     @property
     def effective_drain_limit(self) -> int:

@@ -138,7 +138,9 @@ class RunState:
     The backlogs Q and virtual queues theta are the (N,) float vectors q and
     theta, the only copy of that state: sampling, the max-weight weights and
     the drained test are one numpy call each. queues holds each user's chunk
-    ledger, and players its playback state.
+    ledger, and players its playback state. requests holds each user's
+    (gamma, mode, bits) record of the last chunk slot, which the client trace
+    reads.
     """
 
     def __init__(self, cfg: SimConfig, collect_traces: bool = False) -> None:
@@ -164,9 +166,7 @@ class RunState:
         p = cfg.playback
         self.players = [pb.PlaybackState(total_chunks=cfg.session_chunks, window_size=p.window_slots, rho=p.rho)
                         for _ in range(n_users)]
-        self.gammas = np.zeros(n_users)
-        self.last_mode = np.zeros(n_users, dtype=int)
-        self.last_bits = np.zeros(n_users, dtype=np.int64)
+        self.requests: list[tuple[float, int, int]] = []
         self.mobility = (None if cfg.topology.mobility == "static"
                          else topo.WaypointMobility(cfg.topology.waypoint_speed, seed=cfg.seed))
         gains = topo.topology_state(graph, 0, self.mobility)
@@ -195,20 +195,17 @@ class RunState:
         self.sum_theta += self.theta
 
     def request(self, k: int) -> None:
-        """Chunk slot k: every user picks the quality of its k-th chunk, enqueues it and advances theta."""
+        """Chunk slot k: every user picks the rung of its k-th chunk, enqueues it, advances theta and records it."""
         utility, video = self.cfg.utility, self.cfg.video
         profile, starts = self.profile, self.starts
-        gammas, last_mode, last_bits = self.gammas, self.last_mode, self.last_bits
         q, theta = self.q.tolist(), self.theta.tolist()
+        self.requests = requests = []
         for u, qs in enumerate(self.queues):
             gamma = cl.optimize_gamma(theta[u], utility, video.d_min, video.d_max)
-            gammas[u] = gamma
-            i = (starts[u] + k) % profile.num_chunks
-            m = cl.request_chunk(qs, q[u], theta[u], profile, i)
-            bits = profile.size_bits[i][m - 1]
-            last_mode[u], last_bits[u] = m, bits
+            m, bits, quality = cl.request_chunk(qs, q[u], theta[u], profile, (starts[u] + k) % profile.num_chunks)
             q[u] += bits
-            theta[u] = cl.update_virtual_queue(theta[u], gamma, profile.quality[i][m - 1])
+            theta[u] = cl.update_virtual_queue(theta[u], gamma, quality)
+            requests.append((gamma, m, bits))
         self.q[:] = q
         self.theta[:] = theta
 
@@ -247,11 +244,10 @@ class RunState:
                 pb.record_arrivals(players[u], completed, k + 1)
 
     def trace_requests(self, t: int, delivered: np.ndarray) -> None:
-        """One client trace row per user for chunk slot t, after its drain."""
-        rows = self.traces["client"]
-        last_mode, last_bits = self.last_mode, self.last_bits
-        for u, (q, theta, gamma) in enumerate(zip(self.q.tolist(), self.theta.tolist(), self.gammas.tolist())):
-            rows.append((t, u, q, theta, gamma, int(last_mode[u]), int(last_bits[u]), int(delivered[u])))
+        """Chunk slot t's client trace, after its drain: per user Q, theta, its request record and bits delivered."""
+        self.traces["client"].extend(
+            (t, u, q, theta, gamma, m, bits, b) for u, (q, theta, (gamma, m, bits), b)
+            in enumerate(zip(self.q.tolist(), self.theta.tolist(), self.requests, delivered.tolist())))
 
     def check(self, t: int, per_edge: np.ndarray, delivered: np.ndarray) -> None:
         """Raise unless slot t's bits match the receiver model and every queue and player is consistent."""

@@ -147,9 +147,8 @@ def ledger_fuzz(cases: int = 200, seed: int = 13) -> SuiteResult:
         t = k = 0
         while k < session_length or qs.chunks:
             if t % n == 0 and k < session_length:
-                i = (start + k) % profile.num_chunks
-                m = cl.request_chunk(qs, float(q[0]), theta, profile, i)
-                q[0] += profile.size_bits[i][m - 1]
+                _, bits, _ = cl.request_chunk(qs, float(q[0]), theta, profile, (start + k) % profile.num_chunks)
+                q[0] += bits
                 k += 1
             if rng.uniform() < 0.8:
                 delivered = int(rng.integers(0, 60000))

@@ -96,18 +96,16 @@ def synth_catalog(
         # Unit-mean lognormal multipliers model chunk-to-chunk VBR variation;
         # sigma = 0 draws only +-0.0, so every multiplier is exactly 1.
         mults = np.exp(rng.normal(-0.5 * sigma * sigma, sigma, size=n_chunks))
-        for c in range(n_chunks):
-            ref = mean_bits * float(mults[c])
+        factors = [ladder_ratio ** (n_modes - m) for m in range(1, n_modes + 1)]
+        for mult in mults.tolist():
+            ref = mean_bits * mult
             sizes: list[int] = []
             prev = 0
-            for m in range(1, n_modes + 1):
-                raw = int(round(ref * ladder_ratio ** (n_modes - m)))
-                raw = max(raw, prev + 1)
-                sizes.append(raw)
-                prev = raw
-            quals = _quality_ladder(sizes, d_min, d_max)
+            for factor in factors:
+                prev = max(int(round(ref * factor)), prev + 1)
+                sizes.append(prev)
             size_rows.append(tuple(sizes))
-            quality_rows.append(quals)
+            quality_rows.append(_quality_ladder(sizes, d_min, d_max))
 
     return QualityRateProfile(
         quality=tuple(quality_rows),

@@ -190,6 +190,9 @@ POISSON = ("topology.user_layout=poisson", "topology.helper_layout=center+quarte
     ("t_gop_seconds", "1e306"),
     ("video.segments", "1x2@1e308"),
     ("scheduler_staleness", "100000000000000000000"),
+    # Runs past the slot cap, which would hang rather than finish.
+    ("n", "100000000000000000000"),
+    ("drain_limit_slots", "100000000000000000000"),
 ])
 def test_run_nonfinite_value_exits_2(config_file, tmp_path, capsys, key, value):
     value, *more = (value,) if isinstance(value, str) else value

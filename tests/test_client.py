@@ -90,9 +90,11 @@ def test_select_mode_scaling_invariance():
 def test_request_chunk_first_request_sets_queue():
     p = profile_2x3()
     qs = RequestQueueState()
-    m = request_chunk(qs, 0.0, 3.0, p, 1)
+    m, bits, quality = request_chunk(qs, 0.0, 3.0, p, 1)
     assert m == select_mode(0.0, 3.0, p, 1)
-    assert qs.requested_bits == p.size_bits[1][m - 1]
+    assert (bits, quality) == (p.size_bits[1][m - 1], p.quality[1][m - 1])
+    # The returned rung is the ledger entry: requested_bits grew by bits, and the chunk carries quality.
+    assert qs.requested_bits == bits and qs.chunks[-1][1] == quality
     assert list(qs.chunks) == [(p.size_bits[1][m - 1], p.quality[1][m - 1])]
     assert qs.head == 0 and qs.requested_chunks == 1
 
@@ -100,7 +102,9 @@ def test_request_chunk_first_request_sets_queue():
 def test_request_chunk_single_mode_forced():
     p = synth_catalog([(4, 1, 500.0)], seed=0)
     qs = RequestQueueState()
-    assert request_chunk(qs, 123.0, 456.0, p, 0) == 1
+    m, bits, quality = request_chunk(qs, 123.0, 456.0, p, 0)
+    assert m == 1
+    assert qs.requested_bits == bits and qs.chunks[-1][1] == quality
     assert list(qs.chunks) == [(p.size_bits[0][0], p.quality[0][0])]
 
 

@@ -325,12 +325,13 @@ def test_traced_results_match_pinned_digests(overrides, digest):
 
 
 def test_backlog_values_reach_results_as_python_scalars():
-    # q, theta and gamma live in numpy vectors; the pinned digests hash repr(SimResult),
-    # where a numpy scalar would print differently from the float or bool it equals.
+    # q and theta live in numpy vectors; the pinned digests hash repr(SimResult),
+    # where a numpy scalar would print differently from the float, int or bool it equals.
     res = run(build_config(small_flat()), collect_traces=True)
     rows = res.traces["client"]
     assert rows and all(type(q) is float and type(theta) is float and type(gamma) is float
                         for _, _, q, theta, gamma, *_ in rows)
+    assert all(type(mode) is int and type(bits) is int for *_, mode, bits, _ in rows)
     assert all(type(u.queue_drained) is bool and type(u.mean_q_bits) is float for u in res.users)
 
 

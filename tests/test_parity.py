@@ -14,9 +14,12 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import streamsched
 from streamsched.config import build_config
 from streamsched.engine import run
 
@@ -74,6 +77,25 @@ def test_result_components_match_pins(name):
     digests = component_digests(flat)
     moved = sorted(part for part in pinned.keys() | digests.keys() if pinned.get(part) != digests.get(part))
     assert not moved, f"{name} {flat}: moved components {moved}"
+
+
+# numpy picks its contiguous loops by CPU feature: with AVX512, np.log2 in the rate tables differs from
+# libm's log2 in the last bit on some entries. The pins must hold without those loops too; a CPU that lacks
+# the features runs the same loops either way, and numpy ignores disabling a feature it was not built for.
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def test_pins_hold_without_avx512_dispatch():
+    package_root = os.path.dirname(os.path.dirname(streamsched.__file__))
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": NO_AVX512, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    with open(PINS_PATH) as fh:
+        pinned = json.load(fh)
+    digests = json.loads(proc.stdout)
+    moved = sorted(name for name in pinned.keys() | digests.keys() if pinned.get(name) != digests.get(name))
+    assert not moved, f"configs whose digests moved without AVX512 loops: {moved}"
 
 
 if __name__ == "__main__":
