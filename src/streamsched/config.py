@@ -22,7 +22,7 @@ from typing import Callable, Iterable, NamedTuple, get_type_hints
 from .client import UtilityConfig
 from .errors import ConfigError
 from .phy import MimoConfig
-from .topology import DEFAULT_TX_POWER
+from .topology import DEFAULT_TX_POWER, PATHLOSS_EXPONENT, PATHLOSS_REF_DISTANCE_M
 from .video import DEFAULT_D_MAX, DEFAULT_D_MIN, DEFAULT_SEGMENTS
 
 POLICIES = ("dpp", "baseline")
@@ -36,6 +36,9 @@ MAX_MEAN_USERS = 10**7
 # VM), so 10**7 slots take minutes to hours. Past that, a huge n or drain limit would hang, not exit; the
 # paper default runs 60,000 slots.
 MAX_RUN_SLOTS = 10**7
+# topology.pathloss_gain's (d / d0) ** eta overflows a float past this distance, about 4.7e89 m. A torus
+# distance is at most side_m / sqrt(2), so no side up to it makes a gain overflow.
+MAX_SIDE_M = PATHLOSS_REF_DISTANCE_M * sys.float_info.max ** (1 / PATHLOSS_EXPONENT)
 
 
 @dataclass(frozen=True)
@@ -53,9 +56,9 @@ class TopologySpec:
     waypoint_speed: float = 0.0
 
     def __post_init__(self) -> None:
-        # The Poisson intensities divide by the area, so side_m**2 must neither underflow nor overflow.
-        if not (self.side_m > 0 and 0 < self.side_m * self.side_m < math.inf):
-            raise ConfigError("topology.side_m must be positive, with a positive and finite square")
+        # The Poisson intensities divide by the area, so side_m**2 must not underflow.
+        if not (0 < self.side_m <= MAX_SIDE_M and self.side_m * self.side_m > 0):
+            raise ConfigError(f"topology.side_m must lie in (0, {MAX_SIDE_M:.3g}], with a positive square")
         if not 0 < self.hotspot_side_m <= self.side_m:
             raise ConfigError("topology.hotspot_side_m must be positive and fit in the region")
         # The intensities divide by out_area + hotspot_ratio * hotspot_side_m**2, which must stay finite.

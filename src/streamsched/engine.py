@@ -96,6 +96,9 @@ def build_network(cfg: SimConfig, seed_users: np.random.SeedSequence) -> topo.Ne
         helpers = _parse_layout(spec.helper_layout, "topology.helper_layout", spec.side_m)
         if not helpers:
             raise ConfigError("topology.helper_layout produced no helpers")
+    # phy.sinr_matrix sums every helper's received power as interference; an infinite sum zeroes every SINR.
+    if not np.isfinite(spec.tx_power * len(helpers)):
+        raise ConfigError(f"topology.tx_power: the {len(helpers)} helpers' summed power must be finite")
     if spec.user_layout == "poisson":
         users = topo.place_users(spec.side_m, spec.hotspot_side_m, spec.mean_users, spec.hotspot_ratio, seed_users)
         if len(users) == 0:

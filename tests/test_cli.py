@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -193,13 +194,16 @@ POISSON = ("topology.user_layout=poisson", "topology.helper_layout=center+quarte
     # Runs past the slot cap, which would hang rather than finish.
     ("n", "100000000000000000000"),
     ("drain_limit_slots", "100000000000000000000"),
+    # A region wide enough for a gain to overflow, and helpers whose summed power would zero every SINR.
+    ("topology.side_m", ("1e100", "topology.user_layout=40:40;5e99:5e99")),
+    ("topology.tx_power", ("1e308", "topology.helper_layout=40:40;40:40")),
 ])
 def test_run_nonfinite_value_exits_2(config_file, tmp_path, capsys, key, value):
     value, *more = (value,) if isinstance(value, str) else value
     settings = [arg for text in (f"{key}={value}", *more) for arg in ("--set", text)]
     rc = main(["run", "--config", config_file, "--out", str(tmp_path / "o"), *settings])
     assert rc == 2
-    assert key in capsys.readouterr().err
+    assert re.search(rf"(?<![\w.]){re.escape(key)}(?![\w.])", capsys.readouterr().err)  # the key as a whole word
     assert not (tmp_path / "o").exists()
 
 

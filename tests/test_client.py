@@ -23,8 +23,6 @@ def profile_2x3():
     return QualityRateProfile(
         quality=((0.4, 0.7, 0.95), (0.35, 0.6, 0.9)),
         size_bits=((100, 250, 600), (120, 300, 700)),
-        d_min=0.3,
-        d_max=1.0,
     )
 
 

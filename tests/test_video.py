@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from streamsched.video import (
     DEFAULT_SEGMENTS,
@@ -12,8 +11,6 @@ def tiny_profile():
     return QualityRateProfile(
         quality=((0.8, 0.95), (0.5, 0.7, 0.9)),
         size_bits=((100, 200), (50, 80, 130)),
-        d_min=0.3,
-        d_max=1.0,
     )
 
 
@@ -70,19 +67,32 @@ def test_catalog_determinism():
     assert synth_catalog(seed=42) != synth_catalog(seed=43)
 
 
+def assert_valid_ladders(p, d_min, d_max):
+    """The guarantees synth_catalog documents, checked from its own arguments."""
+    assert len(p.quality) == len(p.size_bits)
+    for sizes, quals in zip(p.size_bits, p.quality):
+        assert len(sizes) == len(quals) >= 1
+        assert all(type(b) is int for b in sizes) and sizes[0] >= 1
+        assert all(a < b for a, b in zip(sizes, sizes[1:]))
+        assert all(a <= b for a, b in zip(quals, quals[1:]))
+        assert d_min <= quals[0] and quals[-1] <= d_max  # with the order above, every rung lies in the bounds
+
+
 def test_catalog_invariants_fuzz():
     rng = np.random.default_rng(5)
-    for _ in range(30):
+    for _ in range(60):
         segments = [
-            (int(rng.integers(1, 30)), int(rng.integers(1, 9)), float(rng.uniform(10, 8000)))
+            (int(rng.integers(1, 30)), int(rng.integers(1, 9)), float(10 ** rng.uniform(-1, 6)))
             for _ in range(int(rng.integers(1, 4)))
         ]
-        p = synth_catalog(segments, seed=int(rng.integers(0, 2**31)), sigma=float(rng.uniform(0, 0.5)))
-        for i in range(p.num_chunks):
-            sizes, quals = p.size_bits[i], p.quality[i]
-            assert all(a < b for a, b in zip(sizes, sizes[1:]))
-            assert all(a <= b for a, b in zip(quals, quals[1:]))
-            assert all(p.d_min <= q <= p.d_max for q in quals)
+        d_min = float(rng.uniform(0.01, 1.0))
+        d_max = float(rng.uniform(d_min, 2.0))
+        p = synth_catalog(segments, seed=int(rng.integers(0, 2**31)), d_min=d_min, d_max=d_max,
+                          sigma=float(rng.uniform(0, 1.5)), ladder_ratio=float(rng.uniform(0.001, 0.999)),
+                          t_gop_seconds=float(10 ** rng.uniform(-2, 1)))
+        assert [len(sizes) for sizes in p.size_bits] == [n_modes for n_chunks, n_modes, _ in segments
+                                                         for _ in range(n_chunks)]
+        assert_valid_ladders(p, d_min, d_max)
 
 
 def test_sigma_zero_catalog_is_constant_per_segment():
@@ -104,26 +114,9 @@ def test_one_mode_catalog():
 
 
 def test_top_mode_quality_never_exceeds_d_max():
-    # The top mode's quality can round one ulp above d_max, which the profile
-    # would reject; every pair of bounds on the 0.01 grid must build.
+    # The top mode's quality can round one ulp above d_max before the clamp; every pair of bounds on the
+    # 0.01 grid must give ladders inside them.
     grid = [round(0.01 * k, 2) for k in range(1, 101)]
-    failures = []
     for i, d_min in enumerate(grid):
         for d_max in grid[i + 1:]:
-            try:
-                synth_catalog([(100, 8, 631.0)], seed=0, d_min=d_min, d_max=d_max)
-            except ValueError:
-                failures.append((d_min, d_max))
-    assert failures == []
-
-
-def test_profile_invariant_validation():
-    with pytest.raises(ValueError):
-        QualityRateProfile(((0.5, 0.4),), ((10, 20),), 0.3, 1.0)  # quality drops
-    with pytest.raises(ValueError):
-        QualityRateProfile(((0.5, 0.6),), ((20, 20),), 0.3, 1.0)  # sizes not strict
-    with pytest.raises(ValueError):
-        QualityRateProfile(((0.2,),), ((10,),), 0.3, 1.0)  # below d_min
-    with pytest.raises(ValueError):
-        QualityRateProfile(((0.5,),), ((10,),), 1.0, 0.3)  # bounds inverted
-
+            assert_valid_ladders(synth_catalog([(100, 8, 631.0)], seed=0, d_min=d_min, d_max=d_max), d_min, d_max)
