@@ -39,6 +39,10 @@ MAX_RUN_SLOTS = 10**7
 # topology.pathloss_gain's (d / d0) ** eta overflows a float past this distance, about 4.7e89 m. A torus
 # distance is at most side_m / sqrt(2), so no side up to it makes a gain overflow.
 MAX_SIDE_M = PATHLOSS_REF_DISTANCE_M * sys.float_info.max ** (1 / PATHLOSS_EXPONENT)
+# A user's theta grows by less than video.d_max per chunk slot, so under this bound (about 1.3e147) it stays
+# below sqrt(float max) over MAX_RUN_SLOTS slots: theta times a quality, theta and quality sums over every
+# slot and user, and the quality ladders all stay finite.
+MAX_D_MAX = math.sqrt(sys.float_info.max) / MAX_RUN_SLOTS
 
 
 @dataclass(frozen=True)
@@ -95,6 +99,8 @@ class VideoSpec:
                 raise ConfigError(f"video.segments: invalid segment {seg}")
         if not 0 < self.d_min < self.d_max:
             raise ConfigError("video.d_min must be positive and < video.d_max")
+        if self.d_max > MAX_D_MAX:
+            raise ConfigError(f"video.d_max must not exceed {MAX_D_MAX:.3g}")
         if self.sigma < 0:
             raise ConfigError("video.sigma must be nonnegative")
         if not 0 < self.ladder_ratio < 1:

@@ -156,8 +156,9 @@ class RunState:
         try:
             self.profile = synth_catalog(v.segments, seed_catalog, d_min=v.d_min, d_max=v.d_max, sigma=v.sigma,
                                          ladder_ratio=v.ladder_ratio, t_gop_seconds=cfg.t_gop_seconds)
-        except OverflowError as exc:  # a chunk of inf bits, which int() cannot round
-            raise ConfigError("video.segments and t_gop_seconds give a chunk more bits than a float holds") from exc
+        except OverflowError as exc:  # a chunk of 2**53 bits or more, infinite ones included
+            raise ConfigError("video.segments and t_gop_seconds give a chunk of 2**53 bits or more; backlogs count "
+                              "bits exactly only below 2**53") from exc
         session_max = cfg.session_chunks * max(sizes[-1] for sizes in self.profile.size_bits)
         if session_max >= 2**53:
             raise ConfigError(f"video.segments: a session of {cfg.session_chunks} chunks could request up to "

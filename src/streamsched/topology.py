@@ -13,6 +13,7 @@ edge set included, is that of slot 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -71,9 +72,16 @@ def torus_distance(a: ArrayLike, b: ArrayLike, side: float) -> float | np.ndarra
     return np.sqrt(delta[..., 0] * delta[..., 0] + delta[..., 1] * delta[..., 1])
 
 
-def pathloss_gain(d: float) -> float:
-    """Linear power gain 1 / (1 + (d / d0)^eta) at distance d meters."""
-    return 1.0 / (1.0 + (d / PATHLOSS_REF_DISTANCE_M) ** PATHLOSS_EXPONENT)
+def pathloss_gain(d: ArrayLike) -> np.ndarray:
+    """Linear power gain 1 / (1 + (d / d0)^eta) at each distance d in meters, in d's shape.
+
+    Each (d / d0)^eta is Python's `pow` on a float, the libm call `**` makes,
+    so the gains are the same on every machine: numpy's SIMD `power` can
+    differ from it in the last bit, and by CPU.
+    """
+    ratio = np.asarray(d, dtype=float) / PATHLOSS_REF_DISTANCE_M
+    powers = np.fromiter(map(pow, ratio.ravel().tolist(), repeat(PATHLOSS_EXPONENT)), float, count=ratio.size)
+    return 1.0 / (1.0 + powers.reshape(ratio.shape))
 
 
 def place_users(
@@ -189,11 +197,6 @@ def topology_state(graph: NetworkGraph, t: int = 0, mobility: WaypointMobility |
 
 
 def gain_matrix(helper_pos: np.ndarray, user_pos: np.ndarray, side: float) -> np.ndarray:
-    """Pathloss gain of every (helper, user) pair from (H, 2) and (N, 2) positions, shape (H, N).
-
-    Each gain goes through `pathloss_gain` on a Python float: numpy's `**`
-    can differ from Python's in the last bit.
-    """
-    dist = torus_distance(helper_pos[:, None, :], user_pos[None, :, :], side)
-    return np.array([pathloss_gain(d) for d in dist.ravel().tolist()]).reshape(dist.shape)
+    """`pathloss_gain` of every (helper, user) torus distance from (H, 2) and (N, 2) positions, shape (H, N)."""
+    return pathloss_gain(torus_distance(helper_pos[:, None, :], user_pos[None, :, :], side))
 

@@ -3,10 +3,12 @@
 A catalog stores, for every chunk of a file, the ladder of encoding modes
 (mode 1 = fewest bits) with a quality score and a size in bits per mode.
 Profiles are immutable, and `synth_catalog` makes them valid by construction;
-nothing checks a ladder again. Readers index the rows directly: chunk i at
-mode m is quality[i][m-1] and size_bits[i][m-1]. A session has no object of
-its own; the engine maps its k-th chunk to catalog index
-(start + k) % num_chunks.
+nothing checks a ladder again. The generator builds each segment as arrays
+but keeps the bits of the per-rung Python formulas: numpy's `rint` rounds
+half to even as `round` does, and every log is `math.log`. Readers index the
+rows directly: chunk i at mode m is quality[i][m-1] and size_bits[i][m-1]. A
+session has no object of its own; the engine maps its k-th chunk to catalog
+index (start + k) % num_chunks.
 """
 from __future__ import annotations
 
@@ -67,12 +69,16 @@ def synth_catalog(
     (sigma on the log scale), and quality maps from size through a log-shaped
     concave curve spanning [d_min, d_max]. Deterministic for a fixed seed.
     The arguments must satisfy VideoSpec's rules; they are not checked again.
+    Each segment is built as (chunks, modes) arrays, and its rows leave as
+    tuples of Python ints and floats.
 
     Every chunk's ladder is valid by construction: both rows have the
     segment's mode count; sizes are ints >= 1 that strictly increase with
-    mode (each rung is at least the one below plus 1); qualities never
-    decrease and lie in [d_min, d_max] (they grow with log(size / mode 1's
-    size) from d_min, and every rung is clamped at d_max).
+    mode (each rung is the rounded ladder size, but at least the one below
+    plus 1); qualities never decrease and lie in [d_min, d_max] (they grow
+    with log(size / mode 1's size) from d_min, and every rung is clamped at
+    d_max). Sizes stay below 2**53, where a float counts integers exactly:
+    a larger rung, or one past the float range, raises OverflowError.
     """
     rng = np.random.default_rng(seed)
 
@@ -83,26 +89,28 @@ def synth_catalog(
         # Unit-mean lognormal multipliers model chunk-to-chunk VBR variation;
         # sigma = 0 draws only +-0.0, so every multiplier is exactly 1.
         mults = np.exp(rng.normal(-0.5 * sigma * sigma, sigma, size=n_chunks))
-        factors = [ladder_ratio ** (n_modes - m) for m in range(1, n_modes + 1)]
-        for mult in mults.tolist():
-            ref = mean_bits * mult
-            sizes: list[int] = []
-            prev = 0
-            for factor in factors:
-                prev = max(int(round(ref * factor)), prev + 1)
-                sizes.append(prev)
-            size_rows.append(tuple(sizes))
-            quality_rows.append(_quality_ladder(sizes, d_min, d_max))
+        factors = np.array([ladder_ratio ** (n_modes - m) for m in range(1, n_modes + 1)])
+        steps = np.arange(1.0, n_modes + 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # a rung past the float range is rejected below
+            raw = np.rint((mean_bits * mults)[:, None] * factors)
+        # Mode m's size is at least mode m-1's plus 1, and mode 1's at least 1: size - m is a running max.
+        sizes = np.maximum.accumulate(np.maximum(raw - steps, 0.0), axis=1) + steps
+        if not sizes.max() < 2**53:  # NaN included
+            raise OverflowError("a chunk of 2**53 bits or more, past a float's exact integers")
+        quality_rows += map(tuple, _quality_ladders(sizes, d_min, d_max).tolist())
+        size_rows += map(tuple, sizes.astype(np.int64).tolist())
 
     return QualityRateProfile(quality=tuple(quality_rows), size_bits=tuple(size_rows))
 
 
-def _quality_ladder(sizes: Sequence[int], d_min: float, d_max: float) -> tuple[float, ...]:
-    if len(sizes) == 1:
-        return (d_max,)
-    span = math.log(sizes[-1] / sizes[0])
+def _quality_ladders(sizes: np.ndarray, d_min: float, d_max: float) -> np.ndarray:
+    """Quality of every rung of (chunks, modes) exact-integer sizes, as `synth_catalog` documents it."""
+    ratios = sizes[:, 1:] / sizes[:, :1]
+    # math.log per rung: numpy's SIMD log can differ from it in the last bit. Mode 1's log(1) is 0.
+    logs = np.zeros(sizes.shape)
+    logs[:, 1:] = np.fromiter(map(math.log, ratios.ravel().tolist()), float, count=ratios.size).reshape(ratios.shape)
+    # A one-mode ladder's span is 0, so its rung is 0 / 0 = NaN, which the clamp below makes d_max.
+    with np.errstate(invalid="ignore"):
+        quality = d_min + (d_max - d_min) * logs / logs[:, -1:]
     # Clamp every rung: the top mode's d_min + (d_max - d_min) * span / span can round one ulp above d_max.
-    # A conditional, not min(): a builtin call per rung would cost a third of the ladder.
-    return tuple([q if (q := d_min + (d_max - d_min) * math.log(s / sizes[0]) / span) < d_max else d_max
-                  for s in sizes])
-
+    return np.where(quality < d_max, quality, d_max)

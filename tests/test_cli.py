@@ -197,6 +197,9 @@ POISSON = ("topology.user_layout=poisson", "topology.helper_layout=center+quarte
     # A region wide enough for a gain to overflow, and helpers whose summed power would zero every SINR.
     ("topology.side_m", ("1e100", "topology.user_layout=40:40;5e99:5e99")),
     ("topology.tx_power", ("1e308", "topology.helper_layout=40:40;40:40")),
+    # Qualities whose sums overflow, and a rung past int64 (it must be rejected, never wrapped).
+    ("video.d_max", "1e308"),
+    ("video.segments", "1x2@1e17"),
 ])
 def test_run_nonfinite_value_exits_2(config_file, tmp_path, capsys, key, value):
     value, *more = (value,) if isinstance(value, str) else value

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from streamsched.config import MAX_SIDE_M
 from streamsched.topology import (
     WaypointMobility,
     build_graph,
     default_helper_layout,
+    gain_matrix,
     pathloss_gain,
     place_users,
     topology_state,
@@ -49,6 +51,17 @@ def test_pathloss_strictly_decreasing():
         d1, d2 = sorted(rng.uniform(0, 500, 2))
         if d1 != d2:
             assert pathloss_gain(d1) > pathloss_gain(d2)
+
+
+@pytest.mark.parametrize("side", [80.0, MAX_SIDE_M])
+def test_gain_matrix_is_python_pow_bit_for_bit(side):
+    # 20 helpers x 50,000 users: 1M torus distances over [0, side / sqrt(2)]. numpy's SIMD power differs from
+    # Python's ** in the last bit on some of them, by CPU, so the gains must keep Python's bits.
+    rng = np.random.default_rng(11)
+    helpers, users = rng.uniform(0, side, (20, 2)), rng.uniform(0, side, (50_000, 2))
+    dist = torus_distance(helpers[:, None, :], users[None, :, :], side)
+    expected = np.array([1 / (1 + (d / 40) ** 3.5) for d in dist.ravel().tolist()]).reshape(dist.shape)
+    assert gain_matrix(helpers, users, side).tobytes() == expected.tobytes()
 
 
 def test_place_users_zero_density():

@@ -1,4 +1,7 @@
+import hashlib
+
 import numpy as np
+import pytest
 
 from streamsched.video import (
     DEFAULT_SEGMENTS,
@@ -60,6 +63,38 @@ def test_segment_mean_bitrates_hit_targets():
         chunks = range(200 * seg, 200 * (seg + 1))
         mean_top = np.mean([p.size_bits[i][-1] for i in chunks])
         assert abs(mean_top - targets[seg]) <= 0.05 * targets[seg]
+
+
+# sha256 of the default catalog's cells (float.hex qualities, int sizes), one line per chunk, for seeds 0-3:
+# the catalog is built as arrays, and must keep the bits of the per-rung Python formulas it replaced.
+DEFAULT_CATALOG_SHA256 = {
+    0: "0cf6231a08aaefe8859469dc8c14166fe020867c4ed0f44166bc4ccce5023ebd",
+    1: "352a4687923b36e15fb78d5f9321f93b4ae99b2cb7f066d712c7dc3d2aa524b4",
+    2: "a4642f9df5949372c65e5f0f0171d80cb5ffb9d1373091fd957cc17ca0baaaa8",
+    3: "ab4ab194c6c9b7f6bce57100a65de6bd5daa7d1ba706d86dc8b6fe185f63d71e",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DEFAULT_CATALOG_SHA256))
+def test_default_catalog_bits_are_pinned(seed):
+    p = synth_catalog(seed=seed)
+    assert all(type(q) is float for row in p.quality for q in row)
+    assert all(type(b) is int for row in p.size_bits for b in row)
+    h = hashlib.sha256()
+    for quals, sizes in zip(p.quality, p.size_bits):
+        h.update(f"{' '.join(map(float.hex, quals))} | {' '.join(map(str, sizes))}\n".encode())
+    assert h.hexdigest() == DEFAULT_CATALOG_SHA256[seed]
+
+
+def test_chunks_below_2_53_bits_are_exact():
+    assert synth_catalog([(3, 2, 1.8e13)], sigma=0.0).size_bits[0] == (6030000000000000, 9 * 10**15)
+
+
+@pytest.mark.parametrize("kbps", [1.81e13, 1e17, 1e300, 1e308])
+def test_chunks_of_2_53_bits_or_more_raise(kbps):
+    # 1.81e13 kbps over 0.5 s is a top rung just above 2**53; 1e308 overflows to inf. None may wrap in int64.
+    with pytest.raises(OverflowError):
+        synth_catalog([(3, 2, kbps)], sigma=0.0)
 
 
 def test_catalog_determinism():
