@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -136,12 +137,16 @@ def drain_bits(qs: RequestQueueState, delivered_bits: int) -> list[int]:
     return list(range(first, qs.head))
 
 
-def drain_backlog(q: np.ndarray, users: np.ndarray, delivered_bits: np.ndarray) -> None:
+def drain_backlog(q: np.ndarray, users: Sequence[int], delivered_bits: Sequence[int]) -> None:
     """Take each listed user's delivered bits off its backlog in q, in place; Q never goes negative.
 
-    Backlogs and bits are integers below 2**53, so the float arithmetic is exact.
+    Backlogs and bits are integers below 2**53, so the float arithmetic is exact
+    and `qu - b if b < qu else 0.0` is `qu - min(b, qu)` bit for bit. The engine
+    drains the few users a slot serves, so the loop touches only those.
     """
-    q[users] -= np.minimum(delivered_bits, q[users])
+    for u, b in zip(users, delivered_bits):
+        qu = q[u]
+        q[u] = qu - b if b < qu else 0.0
 
 
 def optimize_gamma(theta: float, cfg: UtilityConfig, d_min: float, d_max: float) -> float:

@@ -17,6 +17,12 @@ session_chunks, `refresh_topology(t)`, `schedule(t)`, `drain(delivered, k)`.
 A chunk completed during slot t is credited at once to video slot t // n + 1,
 the video slot containing t, i.e. it becomes playable at the next boundary.
 After the loop, playback plays out through the same `playback` phase.
+
+`schedule` returns each helper's service (its served users and their bits)
+and the bits per served user under the receiver model; `drain` and `check`
+touch only those users, so a slot's schedule and drain scale with the edges
+served, not with the population. Only the client trace spreads the delivered
+bits over every user.
 """
 from __future__ import annotations
 
@@ -181,6 +187,7 @@ class RunState:
         self.sum_q = np.zeros(n_users)
         self.sum_theta = np.zeros(n_users)
         self.traces = {"schedule": [], "client": [], "playback": []} if collect_traces else None
+        self.arrived_at_step = [0] * n_users if collect_traces else None
 
     def playback(self, i: int) -> None:
         """Step (and trace) every unfinished player over video slot i, whose completions are already credited."""
@@ -189,8 +196,9 @@ class RunState:
             if ps.phase != pb.FINISHED:
                 pb.playback_step(ps, i)
                 if rows is not None:
-                    # The delay window still holds every arrival credited to slot i.
-                    a_i = sum(a == i for a, _ in ps.recent)
+                    # Every arrival since the player's step at slot i - 1 is credited to slot i.
+                    a_i = ps.arrived - self.arrived_at_step[u]
+                    self.arrived_at_step[u] = ps.arrived
                     rows.append((i, u, ps.psi, ps.phase, ps.e_last, a_i))
 
     def sample(self) -> None:
@@ -219,48 +227,55 @@ class RunState:
             gains = topo.topology_state(self.graph, t, self.mobility)
             self.tables = sched.helper_tables(gains, self.graph, self.cfg.mimo)
 
-    def schedule(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every helper's subset for slot t; returns (per-edge bits, bits delivered per user)."""
+    def schedule(self, t: int) -> tuple[list[sched.Service], dict[int, int]]:
+        """Every helper's service for slot t; returns (the services, bits delivered per served user)."""
         if self.cfg.policy == "dpp":
             # Max-weight reads the backlogs of scheduler_staleness slots ago (slot 0's early on).
             # A copy: the history must keep past backlogs, not views of the live vector.
             self.weight_history.append(self.q.copy())
-            per_edge, subsets = sched.max_weight_slot(self.tables, self.weight_history[0])
+            served = sched.max_weight_slot(self.tables, self.weight_history[0])
         else:
-            per_edge, subsets = sched.round_robin_slot(self.rr, self.tables, self.n_users)
-        delivered = sched.aggregate_per_user(per_edge, self.cfg.receiver)
+            served = sched.round_robin_slot(self.rr, self.tables)
+        delivered = sched.aggregate_per_user(served, self.cfg.receiver)
         if self.traces is not None:
             rows = self.traces["schedule"]
-            for h, subset in enumerate(subsets):
-                if subset:
-                    rows.append((t, h, len(subset), subset, int(per_edge[h].sum())))
-        return per_edge, delivered
+            for h, (users, bits) in enumerate(served):
+                if users:
+                    rows.append((t, h, len(users), users, sum(bits)))
+        return served, delivered
 
-    def drain(self, delivered: np.ndarray, k: int) -> None:
-        """Drain each served user's bits; completed chunks are credited to video slot k + 1."""
-        served = np.flatnonzero(delivered)
-        bits = delivered[served]
-        cl.drain_backlog(self.q, served, bits)
+    def drain(self, delivered: dict[int, int], k: int) -> None:
+        """Drain each served user's nonzero bits; completed chunks are credited to video slot k + 1."""
+        users = [u for u, b in delivered.items() if b]
+        bits = [delivered[u] for u in users]
+        cl.drain_backlog(self.q, users, bits)
         queues, players = self.queues, self.players
-        for u, b in zip(served.tolist(), bits.tolist()):
+        for u, b in zip(users, bits):
             completed = cl.drain_bits(queues[u], b)
             if completed:
                 pb.record_arrivals(players[u], completed, k + 1)
 
-    def trace_requests(self, t: int, delivered: np.ndarray) -> None:
+    def trace_requests(self, t: int, delivered: dict[int, int]) -> None:
         """Chunk slot t's client trace, after its drain: per user Q, theta, its request record and bits delivered."""
+        column = [0] * self.n_users
+        for u, b in delivered.items():
+            column[u] = b
         self.traces["client"].extend(
             (t, u, q, theta, gamma, m, bits, b) for u, (q, theta, (gamma, m, bits), b)
-            in enumerate(zip(self.q.tolist(), self.theta.tolist(), self.requests, delivered.tolist())))
+            in enumerate(zip(self.q.tolist(), self.theta.tolist(), self.requests, column)))
 
-    def check(self, t: int, per_edge: np.ndarray, delivered: np.ndarray) -> None:
+    def check(self, t: int, served: list[sched.Service], delivered: dict[int, int]) -> None:
         """Raise unless slot t's bits match the receiver model and every queue and player is consistent."""
         receiver = self.cfg.receiver
-        advanced_view = per_edge.sum(axis=0)
-        receiver_view = advanced_view if receiver == "advanced" else per_edge.max(axis=0)
-        if not np.array_equal(delivered, receiver_view):
+        advanced_view: dict[int, int] = {}
+        dumb_view: dict[int, int] = {}
+        for users, bits in served:
+            for u, b in zip(users, bits):
+                advanced_view[u] = advanced_view.get(u, 0) + b
+                dumb_view[u] = max(dumb_view.get(u, 0), b)
+        if delivered != (advanced_view if receiver == "advanced" else dumb_view):
             raise RuntimeError(f"slot {t}: delivered bits are not the {receiver} receiver's view")
-        if (delivered > advanced_view).any():
+        if any(b > advanced_view[u] for u, b in delivered.items()):
             raise RuntimeError(f"slot {t}: delivered bits exceed the advanced receiver's view")
         for u, (q, qs, ps) in enumerate(zip(self.q.tolist(), self.queues, self.players)):
             broken = qs.broken_identity(q)
@@ -324,10 +339,10 @@ def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = F
         if requesting:
             st.request(k)
         st.refresh_topology(t)
-        per_edge, delivered = st.schedule(t)
+        served, delivered = st.schedule(t)
         st.drain(delivered, k)
         if check_invariants:
-            st.check(t, per_edge, delivered)
+            st.check(t, served, delivered)
         if requesting and st.traces is not None:
             st.trace_requests(t, delivered)
         t += 1

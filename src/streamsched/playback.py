@@ -6,6 +6,12 @@ while playing, and playback starts once the buffer crosses rho times the
 sliding-window maximum observed delivery delay. A stall re-arms the same
 threshold rule with a freshly estimated delay. Chunks arrive in session
 order, so a player keeps counts and a delay sum, not a per-chunk record.
+
+The window maximum is a monotone deque: `recent` keeps, in credit order, only
+the arrivals no later arrival dominates (a later-or-equal slot with at least
+the same delay), so its delays strictly decrease and the first entry left
+after expiry is the maximum, amortized O(1) per step. Credits must come in
+non-decreasing video-slot order, as the engine makes them.
 """
 from __future__ import annotations
 
@@ -55,7 +61,14 @@ class QoeMetrics:
 
 
 def record_arrivals(ps: PlaybackState, completed_chunks: Sequence[int], i: int) -> None:
-    """Credit chunks completed during video slot i, each the next id due, to the buffer and delay sum."""
+    """Credit chunks completed during video slot i, each the next id due, to the buffer and delay sum.
+
+    Credits come in non-decreasing slot order, as the engine makes them; the
+    delay window needs that order, so an earlier slot raises.
+    """
+    recent = ps.recent
+    if recent and i < recent[-1][0]:
+        raise RuntimeError(f"arrivals credited to slot {i} after slot {recent[-1][0]}")
     for k in completed_chunks:
         if k != ps.arrived:
             raise RuntimeError(f"chunk {k} arrived out of order; chunk {ps.arrived} is due")
@@ -64,19 +77,25 @@ def record_arrivals(ps: PlaybackState, completed_chunks: Sequence[int], i: int) 
             raise RuntimeError(f"chunk {k} arrived at slot {i} before it could be requested")
         ps.arrived += 1
         ps.delay_sum += w
-        ps.recent.append((i, w))
+        # An entry whose delay is at most w leaves the window no later than this one: it never decides the max again.
+        while recent and recent[-1][1] <= w:
+            recent.pop()
+        recent.append((i, w))
 
 
 def window_max_delay(ps: PlaybackState, i: int) -> float:
     """Maximum delay among chunks that arrived in the last window_size video slots.
 
+    recent holds only the arrivals that may still be a window's maximum, with
+    strictly decreasing delays, so the first one left after expiry is the max.
     An empty window carries the previous estimate forward (initially 1).
     """
+    recent = ps.recent
     cutoff = i - ps.window_size + 1
-    while ps.recent and ps.recent[0][0] < cutoff:
-        ps.recent.popleft()
-    if ps.recent:
-        ps.e_last = float(max(w for _, w in ps.recent))
+    while recent and recent[0][0] < cutoff:
+        recent.popleft()
+    if recent:
+        ps.e_last = float(recent[0][1])
     return ps.e_last
 
 

@@ -12,14 +12,18 @@ The exhaustive enumerator `exhaustive_select(weights, rows)` is the testing
 oracle; both it and the kernel return table columns, which `max_weight_slot`
 maps to user ids. The queue-oblivious baseline is one class,
 `RoundRobinState(gains, graph)`: it associates each user with its max-RSSI
-helper and rotates over each helper's users. Under waypoint mobility the
-engine rebuilds the rate tables from each slot's gains, but the association
-stays that of slot 0's gains, as do the graph's edges.
+helper, finds once each user's column in that helper's table, and rotates
+over each helper's users. Under waypoint mobility the engine rebuilds the
+rate tables from each slot's gains, but the association stays that of slot
+0's gains, as do the graph's edges, so the columns hold too.
 
 The hardened rate model `log2(1 + ((M - S + 1) / S) * sinr)` of `phy` is
 evaluated in one place, `helper_rate_rows`. `helper_tables` turns those rows
 into per-helper bit budgets, and both per-slot policies, `max_weight_slot` and
-`round_robin_slot`, read their bits from those tables. The engine schedules
+`round_robin_slot`, read their bits from those tables. Each returns one
+`Service` per helper, its served users and their budgets, so a slot costs what
+it serves, not the population; `aggregate_per_user` combines those into each
+served user's bits under the receiver model. The engine schedules
 with these functions; the tests and `streamsched validate` check the greedy
 kernel against the oracle on the same table, comparing columns, or their
 objectives as exact rationals when optimal subsets tie.
@@ -27,6 +31,7 @@ objectives as exact rationals when optimal subsets tie.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -43,8 +48,9 @@ class RoundRobinState:
     Each user is associated with the helper of strongest received power
     (tx_power * gain) among its edges, the lower helper id on a tie. An edge
     is the eligibility rule helper_rate_rows uses, so every associated user
-    has a column in its helper's table; `NetworkGraph` gives every user at
-    least one edge.
+    has a column in its helper's table: column[u], the number of that
+    helper's edges to lower ids. Edges never change, so neither do the
+    columns. `NetworkGraph` gives every user at least one edge.
     """
 
     def __init__(self, gains: np.ndarray, graph: NetworkGraph) -> None:
@@ -52,6 +58,8 @@ class RoundRobinState:
         helper_of = rssi.argmax(axis=0)
         self.users = [np.flatnonzero(helper_of == h).tolist() for h in range(len(graph.helpers))]
         self.cursors = [0] * len(self.users)
+        edges_through = np.cumsum(graph.adjacency, axis=1)
+        self.column = (edges_through[helper_of, np.arange(len(helper_of))] - 1).tolist()
 
     def next_user(self, h: int) -> int | None:
         """Helper h's next associated user in ascending-id rotation, None if it has none."""
@@ -170,43 +178,45 @@ def helper_tables(gains: np.ndarray, graph: NetworkGraph, cfg: MimoConfig) -> li
     return tables
 
 
-def max_weight_slot(tables: list[RateTable], weights: np.ndarray) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """One slot of max-weight scheduling, helper by helper.
+# One helper's service in a slot: its served users (ascending ids) and each one's bit budget.
+Service = tuple[tuple[int, ...], tuple[int, ...]]
+IDLE: Service = ((), ())
 
-    Returns the (helpers, users) int64 per-edge bits and each helper's active
-    subset (ascending ids, empty when it serves nobody).
-    """
-    per_edge = np.zeros((len(tables), len(weights)), dtype=np.int64)
-    subsets = []
-    for h, (ids, rows, bits) in enumerate(tables):
+
+def max_weight_slot(tables: list[RateTable], weights: np.ndarray) -> list[Service]:
+    """One slot of max-weight scheduling, helper by helper; each helper's service, IDLE when it serves nobody."""
+    served = []
+    for ids, rows, bits in tables:
         cols, _ = greedy_from_rates(weights[ids], rows)
-        users = ids[cols]
-        subsets.append(tuple(users.tolist()))
         if len(cols):
-            per_edge[h, users] = bits[len(cols) - 1, cols]
-    return per_edge, subsets
+            served.append((tuple(ids[cols].tolist()), tuple(bits[len(cols) - 1, cols].tolist())))
+        else:
+            served.append(IDLE)
+    return served
 
 
-def round_robin_slot(
-    rr: RoundRobinState, tables: list[RateTable], n_users: int
-) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+def round_robin_slot(rr: RoundRobinState, tables: list[RateTable]) -> list[Service]:
     """One slot of the baseline: each helper serves its next associated user SU-MIMO.
 
-    The user gets the S=1 bit budget of the helper's table. Same return shape
-    as max_weight_slot.
+    The user gets the S=1 bit budget of the helper's table. Same return as
+    max_weight_slot.
     """
-    per_edge = np.zeros((len(tables), n_users), dtype=np.int64)
-    subsets = []
+    served = []
     for h, table in enumerate(tables):
         u = rr.next_user(h)
-        if u is None:
-            subsets.append(())
-            continue
-        subsets.append((u,))
-        per_edge[h, u] = table.bits[0, table.ids.searchsorted(u)]
-    return per_edge, subsets
+        served.append(IDLE if u is None else ((u,), (int(table.bits[0, rr.column[u]]),)))
+    return served
 
 
-def aggregate_per_user(per_edge_bits: np.ndarray, receiver_model: str) -> np.ndarray:
-    return per_edge_bits.sum(axis=0) if receiver_model == "advanced" else per_edge_bits.max(axis=0)
+def aggregate_per_user(served: list[Service], receiver_model: str) -> dict[int, int]:
+    """Each served user's bits over every helper serving it: the sum for advanced receivers, else the max.
 
+    Users appear in the order helpers first serve them; a zero-bit edge still
+    lists its user.
+    """
+    combine = operator.add if receiver_model == "advanced" else max
+    delivered: dict[int, int] = {}
+    for users, bits in served:
+        for u, b in zip(users, bits):
+            delivered[u] = combine(delivered[u], b) if u in delivered else b
+    return delivered

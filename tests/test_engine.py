@@ -142,7 +142,8 @@ def test_receiver_views_dumb_never_exceeds_advanced(monkeypatch):
         served.setdefault(t, []).extend(subset)
     assert any(len(users) != len(set(users)) for users in served.values())
     # Delivering the advanced view to dumb receivers trips the check.
-    monkeypatch.setattr(engine.sched, "aggregate_per_user", lambda per_edge, model: per_edge.sum(axis=0))
+    aggregate = engine.sched.aggregate_per_user
+    monkeypatch.setattr(engine.sched, "aggregate_per_user", lambda served, model: aggregate(served, "advanced"))
     with pytest.raises(RuntimeError, match="dumb receiver's view"):
         run(build_config(flat), check_invariants=True)
 

@@ -71,12 +71,8 @@ def test_subset_rates_empty_subset():
     graph, state = make_graph(np.full((2, 3), 0.5), adjacency=[[False] * 3, [True] * 3])
     tables = helper_tables(state, graph, MimoConfig(antennas=8, s_max=4, symbols_per_slot=1000))
     assert len(tables[0].ids) == 0 and tables[0].bits.size == 0
-    per_edge, subsets = max_weight_slot(tables, np.ones(3))
-    assert subsets[0] == ()
-    assert per_edge[0].sum() == 0
-    per_edge, subsets = round_robin_slot(RoundRobinState(state, graph), tables, 3)
-    assert subsets[0] == ()
-    assert per_edge[0].sum() == 0
+    assert max_weight_slot(tables, np.ones(3))[0] == ((), ())
+    assert round_robin_slot(RoundRobinState(state, graph), tables)[0] == ((), ())
 
 
 def test_subset_rates_singleton_prefactor(single_link):
@@ -101,9 +97,9 @@ def test_subset_rates_contract_violations():
     tables = helper_tables(state, graph, MimoConfig(antennas=8, s_max=2, symbols_per_slot=1000))
     assert list(tables[0].ids) == [0, 1, 2]
     assert tables[0].rows.shape[0] == 2  # sizes capped at s_max
-    _, subsets = max_weight_slot(tables, np.array([1.0, 1.0, 1.0, 50.0]))
-    assert 3 not in subsets[0]
-    assert all(len(s) <= 2 and len(set(s)) == len(s) for s in subsets)
+    served = max_weight_slot(tables, np.array([1.0, 1.0, 1.0, 50.0]))
+    assert 3 not in served[0][0]
+    assert all(len(s) <= 2 and len(set(s)) == len(s) for s, _ in served)
 
 
 def test_slot_bits_values():

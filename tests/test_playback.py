@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamsched.playback import (
     FINISHED,
@@ -92,8 +94,40 @@ def test_window_takes_max_of_delays():
     ps = fresh()
     record_arrivals(ps, [0], 2)   # W=2
     record_arrivals(ps, [1], 8)   # W=7
-    record_arrivals(ps, [2], 7)   # W=5
+    record_arrivals(ps, [2], 8)   # W=6
     assert window_max_delay(ps, 8) == 7
+
+
+def test_credits_to_an_earlier_slot_rejected():
+    # The delay window keeps only possible maxima, which needs credits in non-decreasing slot order.
+    ps = fresh()
+    record_arrivals(ps, [0], 8)
+    with pytest.raises(RuntimeError, match="arrivals credited to slot 7 after slot 8"):
+        record_arrivals(ps, [1], 7)
+    assert (ps.arrived, ps.delay_sum) == (1, 8)
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(window=st.integers(1, 25),
+       steps=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 5), st.booleans()), max_size=60))
+def test_window_max_is_a_brute_force_max_over_the_window(window, steps):
+    # Each step moves the credit slot on by gap (possibly 0), credits up to `count` chunks there
+    # and, if asked, reads the window at that slot; an empty window carries the last estimate.
+    ps = fresh(window=window)
+    credits = []
+    estimate = 1.0
+    i = 1
+    for gap, count, query in steps:
+        i += gap
+        chunks = list(range(ps.arrived, ps.arrived + min(count, i - ps.arrived)))  # every delay i - k >= 1
+        record_arrivals(ps, chunks, i)
+        credits += [(i, i - k) for k in chunks]
+        if query:
+            in_window = [w for a, w in credits if a > i - window]
+            if in_window:
+                estimate = float(max(in_window))
+            assert window_max_delay(ps, i) == estimate
+            assert ps.e_last == estimate
 
 
 def test_initial_estimate_is_one():

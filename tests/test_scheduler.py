@@ -27,6 +27,14 @@ def greedy(h, weights, state, graph, cfg):
     return tuple(ids[cols].tolist()), objective
 
 
+def dense(served, n_users):
+    """The (helpers, users) bits of a slot's services; zero off the served edges."""
+    per_edge = np.zeros((len(served), n_users), dtype=np.int64)
+    for h, (users, bits) in enumerate(served):
+        per_edge[h, list(users)] = bits
+    return per_edge
+
+
 def _bits(result):
     """A kernel or oracle result as comparable plain values: the columns and the objective's exact bits."""
     cols, objective = result
@@ -236,10 +244,9 @@ def test_exhaustive_su_reduction():
 
 def test_schedule_network_single_user_full_su_rate(single_link):
     graph, state = single_link
-    per_edge, subsets = max_weight_slot(helper_tables(state, graph, CFG), np.array([5.0]))
-    assert subsets == [(0,)]
-    assert per_edge[0, 0] == math.floor(1000 * math.log2(1 + 8 * 20.0))
-    assert aggregate_per_user(per_edge, "advanced")[0] == per_edge[0, 0]
+    served = max_weight_slot(helper_tables(state, graph, CFG), np.array([5.0]))
+    assert served == [((0,), (math.floor(1000 * math.log2(1 + 8 * 20.0)),))]
+    assert aggregate_per_user(served, "advanced") == {0: served[0][1][0]}
 
 
 def test_schedule_network_decouples_disjoint_neighborhoods():
@@ -248,15 +255,15 @@ def test_schedule_network_decouples_disjoint_neighborhoods():
     graph, state = make_graph(gains, adjacency=adjacency)
     weights = np.array([1.0, 2.0, 3.0, 4.0])
     tables = helper_tables(state, graph, CFG)
-    _, subsets = max_weight_slot(tables, weights)
+    served = max_weight_slot(tables, weights)
     for h, (ids, rows, _) in enumerate(tables):
         solo = tuple(ids[exhaustive_select(weights[ids], rows)[0]].tolist())
-        assert subsets[h] == solo
+        assert served[h][0] == solo
         assert set(solo) <= set(np.flatnonzero(adjacency[h]))
 
 
 def test_max_weight_slot_maps_columns_to_user_ids():
-    """Each helper's subset and per-edge bits are the full-sort kernel's columns, mapped through ids.
+    """Each helper's users and bit budgets are the full-sort kernel's columns, mapped through ids.
 
     Adjacency gaps make a table's columns differ from the user ids.
     """
@@ -271,29 +278,53 @@ def test_max_weight_slot_maps_columns_to_user_ids():
         cfg = MimoConfig(antennas=8, s_max=int(rng.integers(1, 6)), symbols_per_slot=1000)
         weights = rng.choice([0.0, 1.0, 4.0], n_u) * 10.0 ** int(rng.integers(0, 7))
         tables = helper_tables(state, graph, cfg)
-        per_edge, subsets = max_weight_slot(tables, weights)
+        served = max_weight_slot(tables, weights)
         for h, (ids, rows, bits) in enumerate(tables):
             gapped += not np.array_equal(ids, np.arange(len(ids)))
             cols, _ = _full_sort_greedy(weights[ids], rows)
-            users = ids[cols]
-            assert subsets[h] == tuple(users.tolist())
-            want = np.zeros(n_u, dtype=np.int64)
-            if len(cols):
-                want[users] = bits[len(cols) - 1, cols]
-            assert np.array_equal(per_edge[h], want)
+            users, budgets = served[h]
+            assert users == tuple(ids[cols].tolist())
+            assert budgets == (tuple(bits[len(cols) - 1, cols].tolist()) if len(cols) else ())
+            assert all(type(x) is int for x in users + budgets)
     assert gapped > 100
 
 
 def test_shared_user_sum_vs_max_aggregation():
     gains = np.array([[1.0], [0.8]])
     graph, state = make_graph(gains)
-    per_edge, subsets = max_weight_slot(helper_tables(state, graph, CFG), np.array([2.0]))
-    assert subsets == [(0,), (0,)]
-    adv = aggregate_per_user(per_edge, "advanced")
-    dumb = aggregate_per_user(per_edge, "dumb")
-    assert adv[0] == per_edge[:, 0].sum()
-    assert dumb[0] == per_edge[:, 0].max()
+    served = max_weight_slot(helper_tables(state, graph, CFG), np.array([2.0]))
+    assert [users for users, _ in served] == [(0,), (0,)]
+    (_, (b0,)), (_, (b1,)) = served
+    adv = aggregate_per_user(served, "advanced")
+    dumb = aggregate_per_user(served, "dumb")
+    assert adv == {0: b0 + b1}
+    assert dumb == {0: max(b0, b1)}
     assert dumb[0] < adv[0]
+
+
+def test_aggregate_per_user_is_the_dense_sum_or_max():
+    # Against the (helpers, users) matrix of the same edges: users shared across helpers,
+    # zero-bit edges and idle helpers; a served user is listed even when all its edges carry 0 bits.
+    rng = np.random.default_rng(31)
+    shared = zero_bit = idle = 0
+    for _ in range(500):
+        n_h, n_u = int(rng.integers(1, 6)), int(rng.integers(1, 12))
+        served = []
+        for _ in range(n_h):
+            users = tuple(sorted(rng.choice(n_u, int(rng.integers(0, n_u + 1)), replace=False).tolist()))
+            served.append((users, tuple(rng.choice([0, 1, 7, 10**15], len(users)).tolist())))
+        per_edge = dense(served, n_u)
+        listed = sorted({u for users, _ in served for u in users})
+        counts = np.bincount([u for users, _ in served for u in users], minlength=n_u)
+        shared += (counts > 1).any()
+        zero_bit += any(0 in bits for _, bits in served)
+        idle += any(not users for users, _ in served)
+        for model, reference in (("advanced", per_edge.sum(axis=0)), ("dumb", per_edge.max(axis=0))):
+            got = aggregate_per_user(served, model)
+            assert sorted(got) == listed
+            assert got == {u: int(reference[u]) for u in listed}
+            assert all(type(b) is int for b in got.values())
+    assert min(shared, zero_bit, idle) > 50
 
 
 def test_allocation_feasibility_fuzz():
@@ -305,16 +336,16 @@ def test_allocation_feasibility_fuzz():
         graph, state = make_graph(rng.uniform(0, 1, (n_h, n_u)), adjacency=adjacency)
         cfg = MimoConfig(antennas=8, s_max=int(rng.integers(1, 5)), symbols_per_slot=1000)
         weights = rng.uniform(0, 10, n_u)
-        per_edge, subsets = max_weight_slot(helper_tables(state, graph, cfg), weights)
-        for h in range(n_h):
-            members = np.flatnonzero(per_edge[h])
-            assert set(members) <= set(subsets[h])
-            assert len(set(subsets[h])) == len(subsets[h])
-            assert len(subsets[h]) <= cfg.s_max
-            assert set(subsets[h]) <= set(np.flatnonzero(adjacency[h]))
-        dumb_view = aggregate_per_user(per_edge, "dumb")
-        adv_view = aggregate_per_user(per_edge, "advanced")
-        assert (dumb_view <= adv_view).all()
+        served = max_weight_slot(helper_tables(state, graph, cfg), weights)
+        for h, (users, bits) in enumerate(served):
+            assert len(bits) == len(users)
+            assert list(users) == sorted(set(users))
+            assert len(users) <= cfg.s_max
+            assert set(users) <= set(np.flatnonzero(adjacency[h]))
+        dumb_view = aggregate_per_user(served, "dumb")
+        adv_view = aggregate_per_user(served, "advanced")
+        assert dumb_view.keys() == adv_view.keys()
+        assert all(dumb_view[u] <= adv_view[u] for u in adv_view)
 
 
 def test_availability_mask_blocks_scheduling():
@@ -323,9 +354,8 @@ def test_availability_mask_blocks_scheduling():
     adjacency = np.array([[True, False, True], [False, True, False]])
     graph, state = make_graph(gains, adjacency=adjacency)
     weights = np.array([0.0, 100.0, 1.0])  # the blocked user has the huge weight
-    per_edge, subsets = max_weight_slot(helper_tables(state, graph, CFG), weights)
-    assert per_edge[0, 1] == 0
-    assert 1 not in subsets[0]
+    served = max_weight_slot(helper_tables(state, graph, CFG), weights)
+    assert 1 not in served[0][0]
 
 
 def test_max_rssi_single_helper_and_ties():
@@ -347,9 +377,8 @@ def test_max_rssi_skips_helpers_without_the_file():
     rr = RoundRobinState(state, graph)
     assert rr.users == [[0], [1]]
     for _ in range(3):
-        per_edge, subsets = round_robin_slot(rr, helper_tables(state, graph, CFG), 2)
-        assert subsets == [(0,), (1,)]
-        assert per_edge[1, 0] == 0
+        served = round_robin_slot(rr, helper_tables(state, graph, CFG))
+        assert [users for users, _ in served] == [(0,), (1,)]
 
 
 def test_baseline_round_robin_period():
@@ -358,7 +387,7 @@ def test_baseline_round_robin_period():
     rr = RoundRobinState(state, graph)
     assert rr.users == [[0, 1, 2]]
     tables = helper_tables(state, graph, MimoConfig(antennas=8, s_max=2, symbols_per_slot=1000))
-    served = [round_robin_slot(rr, tables, 3)[1][0][0] for _ in range(6)]
+    served = [round_robin_slot(rr, tables)[0][0][0] for _ in range(6)]
     assert served == [0, 1, 2, 0, 1, 2]
 
 
@@ -373,14 +402,27 @@ def test_round_robin_bits_are_the_su_mimo_budget():
     tables = helper_tables(state, graph, cfg)
     served = set()
     for _ in range(7):
-        per_edge, subsets = round_robin_slot(rr, tables, 7)
-        for h, subset in enumerate(subsets):
-            for u in subset:
+        for h, (users, bits) in enumerate(round_robin_slot(rr, tables)):
+            assert len(users) == len(bits) <= 1
+            for u, b in zip(users, bits):
                 sinr = powers[h] * gains[h, u] / (1.0 + sum(powers[k] * gains[k, u] for k in range(3) if k != h))
-                assert per_edge[h, u] == math.floor(168_000 * math.log2(1 + 8 * sinr))
+                assert b == math.floor(168_000 * math.log2(1 + 8 * sinr))
                 served.add(u)
-            assert per_edge[h].sum() == sum(per_edge[h, u] for u in subset)
     assert served == set(range(7))
+
+
+def test_round_robin_columns_are_the_table_columns():
+    # Gapped adjacency: each associated user's precomputed column is its position in its helper's table.
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        n_h, n_u = int(rng.integers(1, 5)), int(rng.integers(1, 30))
+        adjacency = rng.uniform(size=(n_h, n_u)) < 0.5
+        adjacency[0] |= ~adjacency.any(axis=0)  # every user keeps an edge
+        graph, state = make_graph(rng.uniform(0.01, 1.0, (n_h, n_u)), adjacency=adjacency)
+        rr = RoundRobinState(state, graph)
+        tables = helper_tables(state, graph, CFG)
+        for h, users in enumerate(rr.users):
+            assert [int(tables[h].ids[rr.column[u]]) for u in users] == users
 
 
 def test_baseline_is_queue_oblivious():
@@ -392,9 +434,7 @@ def test_baseline_is_queue_oblivious():
     assert a.users == [[0, 1], [2, 3]]
     tables = helper_tables(state, graph, MimoConfig(antennas=8, s_max=2, symbols_per_slot=1000))
     for _ in range(5):
-        bits_a, _ = round_robin_slot(a, tables, 4)
-        bits_b, _ = round_robin_slot(b, tables, 4)
-        assert np.array_equal(bits_a, bits_b)
+        assert round_robin_slot(a, tables) == round_robin_slot(b, tables)
 
 
 def test_baseline_single_user_every_slot_and_idle_helper():
@@ -404,6 +444,6 @@ def test_baseline_single_user_every_slot_and_idle_helper():
     assert rr.users == [[0], []]
     tables = helper_tables(state, graph, MimoConfig(antennas=8, s_max=2, symbols_per_slot=1000))
     for _ in range(4):
-        per_edge, subsets = round_robin_slot(rr, tables, 1)
-        assert subsets == [(0,), ()]
-        assert per_edge[1].sum() == 0
+        served = round_robin_slot(rr, tables)
+        assert [users for users, _ in served] == [(0,), ()]
+        assert served[1] == ((), ())
