@@ -63,8 +63,7 @@ class QoeMetrics:
 def record_arrivals(ps: PlaybackState, completed_chunks: Sequence[int], i: int) -> None:
     """Credit chunks completed during video slot i, each the next id due, to the buffer and delay sum.
 
-    Credits come in non-decreasing slot order, as the engine makes them; the
-    delay window needs that order, so an earlier slot raises.
+    A slot before the last credited one raises: the delay window needs credits in slot order.
     """
     recent = ps.recent
     if recent and i < recent[-1][0]:
@@ -86,8 +85,6 @@ def record_arrivals(ps: PlaybackState, completed_chunks: Sequence[int], i: int) 
 def window_max_delay(ps: PlaybackState, i: int) -> float:
     """Maximum delay among chunks that arrived in the last window_size video slots.
 
-    recent holds only the arrivals that may still be a window's maximum, with
-    strictly decreasing delays, so the first one left after expiry is the max.
     An empty window carries the previous estimate forward (initially 1).
     """
     recent = ps.recent
