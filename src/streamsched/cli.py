@@ -1,4 +1,4 @@
-"""Command-line front end: single runs, parameter sweeps, oracle validation, topology dumps.
+"""Command-line front end: single runs, sweeps over one config key, oracle validation, topology dumps.
 
 Exit codes: 0 success, 1 validation failure, 2 usage or configuration error.
 """
@@ -44,10 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--trace", action="store_true", help="also write per-slot trace CSVs")
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run once per value of a named parameter")
+    p_sweep = sub.add_parser("sweep", help="run once per value of a config key")
     _add_common(p_sweep)
-    p_sweep.add_argument("--param", required=True, choices=sorted(engine.SWEEP_PARAMETERS),
-                         help="parameter to sweep")
+    p_sweep.add_argument("--param", required=True, metavar="KEY", help="config key to sweep, e.g. utility.v")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -8,8 +8,8 @@ them. The canonical form of a configuration is its full flat string map
 files.
 
 Each key is the dotted path of a dataclass field (`topology.side_m` is
-`SimConfig.topology.side_m`) and its string codec follows the field's type;
-the one exception is `mimo.m`, the key of `MimoConfig.antennas`.
+`SimConfig.topology.side_m`), with no exception, and its string codec
+follows the field's type.
 """
 from __future__ import annotations
 
@@ -203,8 +203,6 @@ _CODECS = {
     str: (str, str),
     Segments: (_parse_segments, _format_segments),
 }
-# A key is `<section>.<field>` or a top-level `<field>`, except these.
-_RENAMED_KEYS = {("mimo", "antennas"): "mimo.m"}
 
 
 class _Key(NamedTuple):
@@ -224,8 +222,7 @@ def _key_table() -> tuple[dict[str, type], dict[str, _Key]]:
             continue
         sections[top] = top_type
         for name, field_type in get_type_hints(top_type).items():
-            key = _RENAMED_KEYS.get((top, name), f"{top}.{name}")
-            keys[key] = _Key(top, name, *_CODECS[field_type])
+            keys[f"{top}.{name}"] = _Key(top, name, *_CODECS[field_type])
     return sections, keys
 
 

@@ -27,6 +27,7 @@ bits over every user.
 from __future__ import annotations
 
 import csv
+import operator
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -41,16 +42,6 @@ from . import topology as topo
 from .config import SimConfig, config_hash, flatten_config, with_key
 from .errors import ConfigError
 from .video import synth_catalog
-
-SWEEP_PARAMETERS = {
-    "V": "utility.v",
-    "M": "mimo.m",
-    "sMax": "mimo.s_max",
-    "policy": "policy",
-    "receiverModel": "receiver",
-    "userCount": "topology.mean_users",
-}
-
 
 @dataclass(frozen=True)
 class UserResult:
@@ -114,7 +105,7 @@ def build_network(cfg: SimConfig, seed_users: np.random.SeedSequence) -> topo.Ne
         users = _parse_layout(spec.user_layout, "topology.user_layout", spec.side_m)
         if not users:
             raise ConfigError("topology.user_layout produced no users")
-    return topo.build_graph(helpers, users, spec.side_m, spec.tx_power, cfg.mimo.antennas, spec.edge_rule,
+    return topo.build_graph(helpers, users, spec.side_m, spec.tx_power, cfg.mimo.m, spec.edge_rule,
                             spec.edge_threshold)
 
 
@@ -267,16 +258,14 @@ class RunState:
     def check(self, t: int, served: list[sched.Service], delivered: dict[int, int]) -> None:
         """Raise unless slot t's bits match the receiver model and every queue and player is consistent."""
         receiver = self.cfg.receiver
-        advanced_view: dict[int, int] = {}
-        dumb_view: dict[int, int] = {}
+        # An advanced receiver sums its streams' bits, a dumb one keeps the largest.
+        combine = operator.add if receiver == "advanced" else max
+        view: dict[int, int] = {}
         for users, bits in served:
             for u, b in zip(users, bits):
-                advanced_view[u] = advanced_view.get(u, 0) + b
-                dumb_view[u] = max(dumb_view.get(u, 0), b)
-        if delivered != (advanced_view if receiver == "advanced" else dumb_view):
+                view[u] = combine(view.get(u, 0), b)
+        if delivered != view:
             raise RuntimeError(f"slot {t}: delivered bits are not the {receiver} receiver's view")
-        if any(b > advanced_view[u] for u, b in delivered.items()):
-            raise RuntimeError(f"slot {t}: delivered bits exceed the advanced receiver's view")
         for u, (q, qs, ps) in enumerate(zip(self.q.tolist(), self.queues, self.players)):
             broken = qs.broken_identity(q)
             if broken is not None:
@@ -364,19 +353,16 @@ def run(cfg: SimConfig, collect_traces: bool = False, check_invariants: bool = F
     return st.result(t, drain_complete)
 
 
-def sweep(cfg: SimConfig, parameter: str, values: Sequence) -> list[tuple[object, SimConfig, SimResult]]:
-    """Run once per value of a named parameter, sharing the base seed; returns (value, config, result) triples.
+def sweep(cfg: SimConfig, key: str, values: Sequence) -> list[tuple[object, SimConfig, SimResult]]:
+    """Run once per value of a config key, sharing the base seed; returns (value, config, result) triples.
 
-    Every value's config and network are built, and so checked, before any run.
+    Every value's config and run set-up (`RunState`) are built, and so checked, before any run.
     """
-    if parameter not in SWEEP_PARAMETERS:
-        raise ConfigError(f"unknown sweep parameter {parameter!r}; known: {sorted(SWEEP_PARAMETERS)}")
     if not values:
         raise ConfigError("sweep requires at least one value")
-    key = SWEEP_PARAMETERS[parameter]
     configs = [with_key(cfg, key, value) for value in values]
     for value_cfg in configs:
-        build_network(value_cfg, run_seeds(value_cfg)[0])
+        RunState(value_cfg)
     return [(value, value_cfg, run(value_cfg)) for value, value_cfg in zip(values, configs)]
 
 
@@ -414,15 +400,16 @@ def write_summary_csv(result: SimResult, path: str) -> None:
 
 
 def write_run_csv(result: SimResult, cfg: SimConfig, path: str) -> None:
-    """Run-level utility, mean backlogs, and the key config knobs."""
+    """Run-level utility, mean backlogs, and the key config settings, each headed by its config key."""
     flat = flatten_config(cfg)
+    keys = ("utility.v", "utility.alpha", "mimo.m", "mimo.s_max")
     write_csv(path, result.config_hash, result.seed,
               ["utility", "utilityDefined", "meanQTotal", "meanThetaTotal", "drainComplete", "allFinished",
-               "slotsRun", "policy", "receiver", "V", "alpha", "M", "sMax", "users", "seed"],
+               "slotsRun", "policy", "receiver", *keys, "users", "seed"],
               [[f"{result.utility:.10g}", int(result.utility_defined), f"{result.mean_q_total:.10g}",
                 f"{result.mean_theta_total:.10g}", int(result.drain_complete), int(result.all_finished),
-                result.slots_run, result.policy, result.receiver, flat["utility.v"], flat["utility.alpha"],
-                flat["mimo.m"], flat["mimo.s_max"], len(result.users), result.seed]])
+                result.slots_run, result.policy, result.receiver, *(flat[key] for key in keys), len(result.users),
+                result.seed]])
 
 
 def write_trace_csvs(result: SimResult, outdir: str) -> list[str]:

@@ -30,14 +30,14 @@ DEFAULT_SYMBOLS_PER_SLOT = 84 * 100 * 20
 
 @dataclass(frozen=True)
 class MimoConfig:
-    antennas: int = 40
+    m: int = 40  # antennas per helper
     s_max: int = 10
     symbols_per_slot: int = DEFAULT_SYMBOLS_PER_SLOT
 
     def __post_init__(self) -> None:
-        if self.antennas < 1:
+        if self.m < 1:
             raise ConfigError("mimo.m: antennas must be positive")
-        if not 1 <= self.s_max <= self.antennas:
+        if not 1 <= self.s_max <= self.m:
             raise ConfigError("mimo.s_max must lie in [1, mimo.m]")
         # At most 2**40 symbols keep every budget of a rate under 1024 bits/symbol below 2**50,
         # exact as an int64 and as a float.

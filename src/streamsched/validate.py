@@ -51,7 +51,7 @@ def random_instance(rng: np.random.Generator):
     gains = rng.uniform(0.0, 1.0, size=(n_helpers, n_users))
     weights = rng.uniform(0.0, 1.0, size=n_users) * 10.0 ** rng.integers(0, 8)
     weights[rng.uniform(size=n_users) < 0.15] = 0.0
-    cfg = MimoConfig(antennas=antennas, s_max=s_max, symbols_per_slot=1000)
+    cfg = MimoConfig(m=antennas, s_max=s_max, symbols_per_slot=1000)
     return graph, gains, weights, cfg
 
 
@@ -87,8 +87,8 @@ def greedy_vs_exhaustive(instances: int = 10_000, seed: int = 7) -> SuiteResult:
                 "exhaustive_objective": e_obj,
                 "weights": weights.tolist(),
                 "gains": gains.tolist(),
-                "antennas": cfg.antennas,
-                "s_max": cfg.s_max,
+                "mimo.m": cfg.m,
+                "mimo.s_max": cfg.s_max,
             }
     return SuiteResult("greedy_vs_exhaustive", passed, instances, failure)
 

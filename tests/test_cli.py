@@ -34,15 +34,16 @@ TOPOLOGY_DUMP_SHA256 = {
     "gains.csv": "2484be6420d49d32011b4d47a30276a077522138bb225cdbdcb5251c7cdba295",
 }
 
-# Bytes of `run --trace` and of `sweep --param V --values 1e2,1e3` for SMALL_CONFIG: how the
-# result files are written may change, but not what they hold.
+# Bytes of `run --trace` and of `sweep --param utility.v --values 1e2,1e3` for SMALL_CONFIG: how the
+# result files are written may change, but not what they hold. run.csv's and aggregate.csv's headers name
+# each setting by its config key.
 RESULT_SHA256 = {
     "run/summary.csv": "7f05302efb9a400a86512578bd849d73f4ac52d1a94e1ce38b28cb137275f3d2",
-    "run/run.csv": "14a5919c198392ce9d13fecb9e008dad97cd652a516d376003f83cb1fba2ea72",
+    "run/run.csv": "dada2539d79adafa45cf79bff05714a0154aa7a69ada988d6e864cabb5c83780",
     "run/trace_schedule.csv": "0c05d5294690d1763cae692bf99806961f1151a3525b0a06906a7fb5e601f887",
     "run/trace_client.csv": "b742da45e0105f23451fdf05dda188b54aee91ed3073527929a06e28bc5768dc",
     "run/trace_playback.csv": "3bfa56b781f2d5102570d50fa9daff0b0e2e49e8430d566caac303547c1f90f9",
-    "sweep/aggregate.csv": "a2d5df3265913dca29c0425d339e5bbb807dfce0850646c34c87135cca9761a1",
+    "sweep/aggregate.csv": "a2ffead73c028b33dbaf308b833b9512372464781036cb1bb54f59404ad046e4",
 }
 
 
@@ -82,7 +83,7 @@ def test_run_override_plumbs_through(config_file, tmp_path):
     rc = main(["run", "--config", config_file, "--out", out, "--set", "utility.v=1e13"])
     assert rc == 0
     run_rows = read_csv(os.path.join(out, "run.csv"))
-    assert float(run_rows[0]["V"]) == 1e13
+    assert float(run_rows[0]["utility.v"]) == 1e13
 
 
 def test_run_unknown_key_exits_2(config_file, tmp_path, capsys):
@@ -214,14 +215,15 @@ def test_run_trace_files(config_file, tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", config_file, "--out", str(out / "run"), "--trace"]) == 0
     assert main(["sweep", "--config", config_file, "--out", str(out / "sweep"),
-                 "--param", "V", "--values", "1e2,1e3"]) == 0
+                 "--param", "utility.v", "--values", "1e2,1e3"]) == 0
     assert main(["topology", "--config", config_file, "--out", str(out / "topo")]) == 0
     written = {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
     assert set(written) == {*RESULT_SHA256, "topo/nodes.csv", "topo/gains.csv",
-                            *(f"sweep/V={v}/{name}" for v in ("1e2", "1e3") for name in ("summary.csv", "run.csv"))}
+                            *(f"sweep/utility.v={v}/{name}" for v in ("1e2", "1e3")
+                              for name in ("summary.csv", "run.csv"))}
     for name, data in written.items():
         # Each file names the config that produced it: a sweep subdirectory's has its value set.
-        overrides = [f"utility.v={name.split('/')[1][2:]}"] if name.startswith("sweep/V=") else []
+        overrides = [name.split("/")[1]] if name.startswith("sweep/utility.v=") else []
         cfg = config_from_sources(config_file, overrides)
         assert data.startswith(f"# config={config_hash(cfg)} seed={cfg.seed}\n".encode()), name
     for name, digest in RESULT_SHA256.items():
@@ -231,11 +233,11 @@ def test_run_trace_files(config_file, tmp_path):
 def test_sweep_creates_subdirs_and_aggregate(config_file, tmp_path):
     out = str(tmp_path / "sweep")
     rc = main(["sweep", "--config", config_file, "--out", out,
-               "--param", "V", "--values", "1e2,1e3,1e4"])
+               "--param", "utility.v", "--values", "1e2,1e3,1e4"])
     assert rc == 0
     for v in ("1e2", "1e3", "1e4"):
-        assert os.path.exists(os.path.join(out, f"V={v}", "summary.csv"))
-        assert os.path.exists(os.path.join(out, f"V={v}", "run.csv"))
+        assert os.path.exists(os.path.join(out, f"utility.v={v}", "summary.csv"))
+        assert os.path.exists(os.path.join(out, f"utility.v={v}", "run.csv"))
     agg = read_csv(os.path.join(out, "aggregate.csv"))
     assert len(agg) == 3
 
@@ -243,7 +245,7 @@ def test_sweep_creates_subdirs_and_aggregate(config_file, tmp_path):
 def test_sweep_dedupes_with_warning(config_file, tmp_path, capsys):
     out = str(tmp_path / "sweep")
     rc = main(["sweep", "--config", config_file, "--out", out,
-               "--param", "V", "--values", "1e2,1e2,1e3"])
+               "--param", "utility.v", "--values", "1e2,1e2,1e3"])
     assert rc == 0
     assert "duplicate" in capsys.readouterr().err
     assert len(read_csv(os.path.join(out, "aggregate.csv"))) == 2
@@ -251,7 +253,7 @@ def test_sweep_dedupes_with_warning(config_file, tmp_path, capsys):
 
 def test_sweep_empty_values_exits_2(config_file, tmp_path):
     rc = main(["sweep", "--config", config_file, "--out", str(tmp_path / "s"),
-               "--param", "V", "--values", " , "])
+               "--param", "utility.v", "--values", " , "])
     assert rc == 2
     assert not os.path.exists(tmp_path / "s")
 
@@ -272,13 +274,15 @@ def test_sweep_checks_every_value_before_simulating(monkeypatch, config_file, tm
 
     monkeypatch.setattr(engine, "run", not_called)
     cases = [
-        ([], "M", "20,0", "mimo.m"),
+        ([], "mimo.m", "20,0"),
         # Only building the network finds the zero-user draw.
-        (["--set", "topology.user_layout=poisson", "--set", "topology.mean_users=30"], "userCount", "30,0",
-         "topology.mean_users"),
+        (["--set", "topology.user_layout=poisson", "--set", "topology.mean_users=30"], "topology.mean_users",
+         "30,0"),
+        # Only building the catalog finds a session that could request 2**53 bits or more.
+        ([], "video.segments", "10x3@400,10x3@1e13"),
     ]
-    for extra, param, values, key in cases:
-        rc = main(["sweep", "--config", config_file, "--out", str(tmp_path / "s"), *extra, "--param", param,
+    for extra, key, values in cases:
+        rc = main(["sweep", "--config", config_file, "--out", str(tmp_path / "s"), *extra, "--param", key,
                    "--values", values])
         assert rc == 2
         assert key in capsys.readouterr().err
@@ -287,9 +291,27 @@ def test_sweep_checks_every_value_before_simulating(monkeypatch, config_file, tm
 
 def test_sweep_records_override_in_run_csv(config_file, tmp_path):
     out = str(tmp_path / "sweep")
-    main(["sweep", "--config", config_file, "--out", out, "--param", "V", "--values", "1e2,1e3"])
-    rows = read_csv(os.path.join(out, "V=1e3", "run.csv"))
-    assert float(rows[0]["V"]) == 1e3
+    main(["sweep", "--config", config_file, "--out", out, "--param", "utility.v", "--values", "1e2,1e3"])
+    rows = read_csv(os.path.join(out, "utility.v=1e3", "run.csv"))
+    assert float(rows[0]["utility.v"]) == 1e3
+
+
+def test_sweep_takes_any_config_key(config_file, tmp_path):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", config_file, "--out", str(out), "--param", "playback.rho",
+                 "--values", "2,4"]) == 0
+    for v in ("2", "4"):
+        assert (out / f"playback.rho={v}" / "summary.csv").exists()
+        assert (out / f"playback.rho={v}" / "run.csv").exists()
+    assert [row["playback.rho"] for row in read_csv(out / "aggregate.csv")] == ["2", "4"]
+
+
+@pytest.mark.parametrize("name", ["V", "M", "sMax", "receiverModel", "userCount"])
+def test_sweep_rejects_a_name_that_is_not_a_config_key(config_file, tmp_path, capsys, name):
+    rc = main(["sweep", "--config", config_file, "--out", str(tmp_path / "s"), "--param", name, "--values", "1"])
+    assert rc == 2
+    assert repr(name) in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_validate_small_counts_pass(capsys):
@@ -334,7 +356,7 @@ def test_topology_dump(config_file, tmp_path):
 
 def test_usage_error_exits_2():
     assert main(["frobnicate"]) == 2
-    assert main(["sweep", "--param", "V"]) == 2  # missing --values
+    assert main(["sweep", "--param", "utility.v"]) == 2  # missing --values
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "topology"])
@@ -350,7 +372,7 @@ def test_out_naming_a_file_exits_2_before_simulating(monkeypatch, tmp_path, caps
     afile = tmp_path / "afile"
     afile.write_text("keep")
     out = afile / "sub" if below else afile
-    extra = ["--param", "V", "--values", "1e2"] if command == "sweep" else []
+    extra = ["--param", "utility.v", "--values", "1e2"] if command == "sweep" else []
     rc = main([command, "--out", str(out), "--set", "topology.mean_users=5", *extra])
     assert rc == 2
     err = capsys.readouterr().err

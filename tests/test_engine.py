@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import re
 from collections.abc import Sized
@@ -5,7 +6,7 @@ from collections.abc import Sized
 import numpy as np
 import pytest
 
-from streamsched import engine
+from streamsched import config, engine
 from streamsched.config import SimConfig, build_config, config_hash, flatten_config
 from streamsched.errors import ConfigError
 from streamsched.engine import run, sweep
@@ -96,7 +97,7 @@ def test_paired_runs_share_topology_and_catalog():
 
 def test_sweep_shares_seed_and_keys_results():
     cfg = build_config(small_flat())
-    results = sweep(cfg, "V", ["1e2", "1e4", "1e6"])
+    results = sweep(cfg, "utility.v", ["1e2", "1e4", "1e6"])
     assert [v for v, _, _ in results] == ["1e2", "1e4", "1e6"]
     hashes = {r.config_hash for _, _, r in results}
     assert len(hashes) == 3  # different configs
@@ -123,15 +124,19 @@ def test_build_network_requires_helpers_and_users(key, value):
 
 def test_sweep_unknown_parameter():
     cfg = build_config(small_flat())
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="'bogus'"):
         sweep(cfg, "bogus", [1])
+    # A sweep takes config keys only: V is the key utility.v's name in the paper, not a key.
+    with pytest.raises(ConfigError, match="'V'"):
+        sweep(cfg, "V", ["1e2"])
     with pytest.raises(ConfigError):
-        sweep(cfg, "V", [])
+        sweep(cfg, "utility.v", [])
 
 
 def test_receiver_views_dumb_never_exceeds_advanced(monkeypatch):
-    # check_invariants compares, every slot, the delivered bits with the dumb
-    # view of the per-edge bits and with the advanced view above it.
+    # check_invariants compares, every slot, the delivered bits with the
+    # configured receiver's view of the per-edge bits; the dumb view (each
+    # user's largest budget) never exceeds the advanced one (their sum).
     flat = small_flat(receiver="dumb", **{"topology.helper_layout": "30:40;50:40",
                                           "topology.user_layout": "poisson", "topology.mean_users": "6"})
     res = run(build_config(flat), collect_traces=True, check_invariants=True)
@@ -286,6 +291,14 @@ def test_config_hash_pinned_and_every_key_round_trips():
     assert flat.keys() == defaults.keys() and all(flat[k] != defaults[k] for k in flat)
     assert config_hash(every) == "35b362dba02f"
     assert build_config(flatten_config(every)) == every
+
+
+def test_every_key_is_its_fields_dotted_path():
+    # Every value in EVERY_KEY_FLAT differs from its default, so a key mapped to another field would show here.
+    every = build_config(EVERY_KEY_FLAT)
+    assert config._KEYS.keys() == EVERY_KEY_FLAT.keys()
+    for key, text in EVERY_KEY_FLAT.items():
+        assert functools.reduce(getattr, key.split("."), every) == config._KEYS[key].parse(text), key
 
 
 def test_segment_rates_keep_full_precision():

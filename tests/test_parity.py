@@ -1,10 +1,11 @@
 """Parity matrix: pinned digests of every result component over a spread of configs.
 
 Each config is a base crossed with policy (dpp, baseline), receiver
-(advanced, dumb) and mobility (static, waypoint), run with traces on and
-every invariant checked. Each component of the result has its own pin:
-the run-level fields, the per-user fields and each trace table. A change
-that moves results shows which components of which configs moved.
+(advanced, dumb) and mobility (static, waypoint), or one of a few single
+dpp runs; each runs with traces on and every invariant checked. Each
+component of the result has its own pin: the run-level fields, the per-user
+fields and each trace table. A change that moves results shows which
+components of which configs moved.
 
 A change that moves results on purpose re-pins only the entries it names.
 `python tests/test_parity.py` prints the digests of the current code in the
@@ -42,10 +43,20 @@ BASES = {
 }
 SHARED = {"n": "5", "session_chunks": "12"}
 WAYPOINT = {"topology.mobility": "waypoint", "topology.waypoint_speed": "0.5"}
+# Single dpp runs off the matrix's alpha = 1: gamma's alpha = 0 select, interior gammas for alpha not in
+# {0, 1}, and the kernel's s_max = 1 branch.
+SINGLE_BASE = {**SHARED, "topology.mean_users": "25", "mimo.m": "10", "mimo.s_max": "4"}
+SINGLES = {
+    "alpha0": {"utility.alpha": "0", "utility.v": "1"},
+    "alpha0.5": {"utility.alpha": "0.5", "utility.v": "1"},
+    "alpha0.7": {"utility.alpha": "0.7", "utility.v": "1"},
+    "alpha2": {"utility.alpha": "2", "utility.v": "0.5"},
+    "smax1": {"mimo.s_max": "1"},
+}
 
 
 def matrix():
-    """Config name -> flat settings, in a fixed order."""
+    """Config name -> flat settings, in a fixed order: the crossed matrix, then the singles."""
     configs = {}
     for base, settings in BASES.items():
         for policy in ("dpp", "baseline"):
@@ -55,6 +66,7 @@ def matrix():
                     if mobility == "waypoint":
                         flat.update(WAYPOINT)
                     configs[f"{base}-{policy}-{receiver}-{mobility}"] = flat
+    configs.update((f"u25-{name}", {**SINGLE_BASE, **settings}) for name, settings in SINGLES.items())
     return configs
 
 

@@ -63,13 +63,13 @@ def test_rate_decreasing_in_subset_size():
 def test_rate_domain_errors(s, m):
     # Subset sizes outside [1, M] are rejected where s_max enters the rate tables.
     with pytest.raises(ValueError):
-        MimoConfig(antennas=m, s_max=s)
+        MimoConfig(m=m, s_max=s)
 
 
 def test_subset_rates_empty_subset():
     # A helper with no eligible user has an empty table and serves nobody, under either policy.
     graph, state = make_graph(np.full((2, 3), 0.5), adjacency=[[False] * 3, [True] * 3])
-    tables = helper_tables(state, graph, MimoConfig(antennas=8, s_max=4, symbols_per_slot=1000))
+    tables = helper_tables(state, graph, MimoConfig(m=8, s_max=4, symbols_per_slot=1000))
     assert len(tables[0].ids) == 0 and tables[0].bits.size == 0
     assert max_weight_slot(tables, np.ones(3))[0] == ((), ())
     assert round_robin_slot(RoundRobinState(state, graph), tables)[0] == ((), ())
@@ -94,7 +94,7 @@ def test_subset_rates_contract_violations():
     # Scheduled subsets stay inside the neighborhood, within s_max, without duplicates.
     adjacency = [[True, True, True, False], [True, True, True, True]]
     graph, state = make_graph(np.ones((2, 4)), adjacency=adjacency)
-    tables = helper_tables(state, graph, MimoConfig(antennas=8, s_max=2, symbols_per_slot=1000))
+    tables = helper_tables(state, graph, MimoConfig(m=8, s_max=2, symbols_per_slot=1000))
     assert list(tables[0].ids) == [0, 1, 2]
     assert tables[0].rows.shape[0] == 2  # sizes capped at s_max
     served = max_weight_slot(tables, np.array([1.0, 1.0, 1.0, 50.0]))
@@ -104,7 +104,7 @@ def test_subset_rates_contract_violations():
 
 def test_slot_bits_values():
     # floor(168000 * log2(4.1)) evaluated independently = 341984.
-    cfg = MimoConfig(antennas=40, s_max=10, symbols_per_slot=168_000)
+    cfg = MimoConfig(m=40, s_max=10, symbols_per_slot=168_000)
     # Ten users, so the table has a row for S = 10.
     graph, state = make_graph([[1.0] * 9 + [0.0]], tx_powers=[1.0], antennas=40)
     bits = helper_tables(state, graph, cfg)[0].bits
@@ -113,7 +113,7 @@ def test_slot_bits_values():
     assert (bits[:, 9] == 0).all()  # zero SINR, zero bits
     # log2(1 + 1 * 1) = 1 bit/symbol, a whole slot's symbols.
     graph, state = make_graph([[1.0]], tx_powers=[1.0], antennas=1)
-    su = MimoConfig(antennas=1, s_max=1, symbols_per_slot=168_000)
+    su = MimoConfig(m=1, s_max=1, symbols_per_slot=168_000)
     assert helper_tables(state, graph, su)[0].bits[0, 0] == 168_000
 
 
@@ -121,7 +121,7 @@ def test_table_rows_stop_at_the_neighbourhood():
     # No helper serves more streams than it has eligible users, so its table has no taller rows.
     adjacency = [[True, True, True, False, False], [False] * 5, [True] * 5]
     graph, state = make_graph(np.full((3, 5), 0.5), adjacency=adjacency)
-    tables = helper_tables(state, graph, MimoConfig(antennas=8, s_max=8, symbols_per_slot=1000))
+    tables = helper_tables(state, graph, MimoConfig(m=8, s_max=8, symbols_per_slot=1000))
     assert [t.rows.shape for t in tables] == [(3, 3), (0, 0), (5, 5)]
     assert [t.bits.shape for t in tables] == [(3, 3), (0, 0), (5, 5)]
 

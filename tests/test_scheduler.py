@@ -17,7 +17,7 @@ from streamsched.scheduler import (
     round_robin_slot,
 )
 
-CFG = MimoConfig(antennas=8, s_max=4, symbols_per_slot=1000)
+CFG = MimoConfig(m=8, s_max=4, symbols_per_slot=1000)
 
 
 def greedy(h, weights, state, graph, cfg):
@@ -67,7 +67,7 @@ def test_greedy_vs_exhaustive_passes_optimal_subsets_one_ulp_apart(monkeypatch):
     # seeded search over small tied instances), so the oracle keeps the later one.
     graph, state = make_graph([[0.7, 0.3, 0.7, 0.3, 0.3, 0.7]], antennas=20)
     weights = np.array([7e6, 0.0, 1e6, 2.5e6, 0.0, 1e6])
-    cfg = MimoConfig(antennas=20, s_max=3, symbols_per_slot=1000)
+    cfg = MimoConfig(m=20, s_max=3, symbols_per_slot=1000)
     table = helper_tables(state, graph, cfg)[0]
     args = weights[table.ids], table.rows
     g_cols, _ = greedy_from_rates(*args)
@@ -201,8 +201,8 @@ def test_greedy_equals_exhaustive_on_tied_neighborhoods():
     for _ in range(150):
         n, n_h = int(rng.integers(13, 21)), int(rng.integers(1, 3))
         gains = rng.choice(rng.uniform(0.05, 1.0, 3), (n_h, n))
-        cfg = MimoConfig(antennas=int(rng.choice([10, 20, 40])), s_max=int(rng.integers(1, 6)), symbols_per_slot=1000)
-        graph, state = make_graph(gains, tx_powers=rng.uniform(1, 50, n_h), antennas=cfg.antennas)
+        cfg = MimoConfig(m=int(rng.choice([10, 20, 40])), s_max=int(rng.integers(1, 6)), symbols_per_slot=1000)
+        graph, state = make_graph(gains, tx_powers=rng.uniform(1, 50, n_h), antennas=cfg.m)
         weights = rng.choice([0.0, 0.0, 1.0, 2.5, 7.0], n) * 10.0 ** int(rng.integers(0, 7))
         table = helper_tables(state, graph, cfg)[0]
         args = weights[table.ids], table.rows
@@ -235,7 +235,7 @@ def test_exhaustive_su_reduction():
     gains = rng.uniform(0.05, 1, (1, 6))
     weights = rng.uniform(0, 5, 6)
     graph, state = make_graph(gains)
-    cfg = MimoConfig(antennas=8, s_max=1, symbols_per_slot=1000)
+    cfg = MimoConfig(m=8, s_max=1, symbols_per_slot=1000)
     ids, rows, _ = helper_tables(state, graph, cfg)[0]
     cols, _ = exhaustive_select(weights[ids], rows)
     scores = weights * np.log2(1 + 8 * 20.0 * gains[0])
@@ -275,7 +275,7 @@ def test_max_weight_slot_maps_columns_to_user_ids():
         adjacency[0] |= ~adjacency.any(axis=0)  # every user keeps an edge
         gains = rng.choice(rng.uniform(0.01, 1.0, 3), (n_h, n_u))  # repeated SINRs, so columns tie
         graph, state = make_graph(gains, adjacency=adjacency)
-        cfg = MimoConfig(antennas=8, s_max=int(rng.integers(1, 6)), symbols_per_slot=1000)
+        cfg = MimoConfig(m=8, s_max=int(rng.integers(1, 6)), symbols_per_slot=1000)
         weights = rng.choice([0.0, 1.0, 4.0], n_u) * 10.0 ** int(rng.integers(0, 7))
         tables = helper_tables(state, graph, cfg)
         served = max_weight_slot(tables, weights)
@@ -334,7 +334,7 @@ def test_allocation_feasibility_fuzz():
         adjacency = rng.uniform(size=(n_h, n_u)) < 0.6
         adjacency[0] |= ~adjacency.any(axis=0)  # every user keeps an edge
         graph, state = make_graph(rng.uniform(0, 1, (n_h, n_u)), adjacency=adjacency)
-        cfg = MimoConfig(antennas=8, s_max=int(rng.integers(1, 5)), symbols_per_slot=1000)
+        cfg = MimoConfig(m=8, s_max=int(rng.integers(1, 5)), symbols_per_slot=1000)
         weights = rng.uniform(0, 10, n_u)
         served = max_weight_slot(helper_tables(state, graph, cfg), weights)
         for h, (users, bits) in enumerate(served):
@@ -386,7 +386,7 @@ def test_baseline_round_robin_period():
     graph, state = make_graph(gains)
     rr = RoundRobinState(state, graph)
     assert rr.users == [[0, 1, 2]]
-    tables = helper_tables(state, graph, MimoConfig(antennas=8, s_max=2, symbols_per_slot=1000))
+    tables = helper_tables(state, graph, MimoConfig(m=8, s_max=2, symbols_per_slot=1000))
     served = [round_robin_slot(rr, tables)[0][0][0] for _ in range(6)]
     assert served == [0, 1, 2, 0, 1, 2]
 
@@ -397,7 +397,7 @@ def test_round_robin_bits_are_the_su_mimo_budget():
     gains = rng.uniform(0.05, 1, (3, 7))
     powers = rng.uniform(1, 40, 3)
     graph, state = make_graph(gains, tx_powers=powers)
-    cfg = MimoConfig(antennas=8, s_max=4, symbols_per_slot=168_000)
+    cfg = MimoConfig(m=8, s_max=4, symbols_per_slot=168_000)
     rr = RoundRobinState(state, graph)
     tables = helper_tables(state, graph, cfg)
     served = set()
@@ -432,7 +432,7 @@ def test_baseline_is_queue_oblivious():
     a = RoundRobinState(state, graph)
     b = RoundRobinState(state, graph)
     assert a.users == [[0, 1], [2, 3]]
-    tables = helper_tables(state, graph, MimoConfig(antennas=8, s_max=2, symbols_per_slot=1000))
+    tables = helper_tables(state, graph, MimoConfig(m=8, s_max=2, symbols_per_slot=1000))
     for _ in range(5):
         assert round_robin_slot(a, tables) == round_robin_slot(b, tables)
 
@@ -442,7 +442,7 @@ def test_baseline_single_user_every_slot_and_idle_helper():
     graph, state = make_graph(gains)
     rr = RoundRobinState(state, graph)
     assert rr.users == [[0], []]
-    tables = helper_tables(state, graph, MimoConfig(antennas=8, s_max=2, symbols_per_slot=1000))
+    tables = helper_tables(state, graph, MimoConfig(m=8, s_max=2, symbols_per_slot=1000))
     for _ in range(4):
         served = round_robin_slot(rr, tables)
         assert [users for users, _ in served] == [(0,), ()]
