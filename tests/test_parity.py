@@ -43,8 +43,9 @@ BASES = {
 }
 SHARED = {"n": "5", "session_chunks": "12"}
 WAYPOINT = {"topology.mobility": "waypoint", "topology.waypoint_speed": "0.5"}
-# Single dpp runs off the matrix's alpha = 1: gamma's alpha = 0 select, interior gammas for alpha not in
-# {0, 1}, and the kernel's s_max = 1 branch.
+# Single dpp runs off the matrix's defaults: gamma's alpha = 0 select, interior gammas (at the default
+# utility.v every gamma sits at a clamp), the kernel's s_max = 1 branch, and a catalog that mixes a one-mode
+# segment with a wider one, so a chunk's ladder is shorter than the catalog's widest.
 SINGLE_BASE = {**SHARED, "topology.mean_users": "25", "mimo.m": "10", "mimo.s_max": "4"}
 SINGLES = {
     "alpha0": {"utility.alpha": "0", "utility.v": "1"},
@@ -52,6 +53,9 @@ SINGLES = {
     "alpha0.7": {"utility.alpha": "0.7", "utility.v": "1"},
     "alpha2": {"utility.alpha": "2", "utility.v": "0.5"},
     "smax1": {"mimo.s_max": "1"},
+    "alpha1": {"utility.alpha": "1", "utility.v": "1"},
+    "alpha3": {"utility.alpha": "3", "utility.v": "0.5"},
+    "onemode": {"video.segments": "4x1@800,4x5@2000"},
 }
 
 
