@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import engine, topology as topo, validate
-from .config import SimConfig, config_from_sources, config_hash
+from .config import SimConfig, config_from_sources, config_hash, flatten_config, with_key
 from .errors import ConfigError
 
 EXIT_OK = 0
@@ -100,12 +100,18 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config(args)
+    # Two spellings of one setting (1e2 and 100) are one value: compare the key's canonical flat form.
     values: list[str] = []
+    settings: set[str] = set()
     for v in args.values.split(","):
         v = v.strip()
-        if v in values:
+        if not v:
+            continue
+        setting = flatten_config(with_key(cfg, args.param, v))[args.param]
+        if setting in settings:
             print(f"warning: duplicate sweep value {v!r} ignored", file=sys.stderr)
-        elif v:
+        else:
+            settings.add(setting)
             values.append(v)
     results = engine.sweep(cfg, args.param, values)
     rows = []

@@ -251,6 +251,17 @@ def test_sweep_dedupes_with_warning(config_file, tmp_path, capsys):
     assert len(read_csv(os.path.join(out, "aggregate.csv"))) == 2
 
 
+def test_sweep_dedupes_spellings_of_one_setting(config_file, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--config", config_file, "--out", str(out),
+               "--param", "utility.v", "--values", "1e2,100,1e3,1000.0"])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert "'100'" in err and "'1000.0'" in err
+    assert [row["utility.v"] for row in read_csv(out / "aggregate.csv")] == ["1e2", "1e3"]
+    assert sorted(p.name for p in out.iterdir()) == ["aggregate.csv", "utility.v=1e2", "utility.v=1e3"]
+
+
 def test_sweep_empty_values_exits_2(config_file, tmp_path):
     rc = main(["sweep", "--config", config_file, "--out", str(tmp_path / "s"),
                "--param", "utility.v", "--values", " , "])
