@@ -7,14 +7,19 @@ the max-weight scheduler reads the whole backlog each slot and the result
 averages both, so they are the only copy of that state. Chunk quality is
 chosen by minimizing Q * bits - theta * quality over the mode ladder; the
 auxiliary variable gamma maximizes V * utility(gamma) - theta * gamma over the
-quality range. The functions here still act on one user at a time, taking
-that user's Q and theta as scalars, because the benchmark tracer counts them
-by name (ROADMAP item 1 re-keys it).
+quality range.
+
+The request side acts on the whole population at once: `select_mode`,
+`request_chunk`, `optimize_gamma` and `update_virtual_queue` take the (N,)
+vectors and return (N,) arrays, one numpy pass per chunk slot, with the bits
+of the per-user float arithmetic (each multiply and subtract is one IEEE
+operation, as in Python). The drain side, `drain_bits`, still takes one
+user's ledger at a time (ROADMAP item 3).
 
 Users request in lockstep: at every chunk slot the engine asks each user for
-its next chunk, so a request takes the catalog index, keeps no session state
-here and returns the (mode, bits, quality) it appended to the ledger. Chunks
-are requested in session order and consumed head-of-line, so the chunk
+its next chunk, so a request takes the catalog indices, keeps no session state
+here and returns the (modes, bits, qualities) it appended to the ledgers.
+Chunks are requested in session order and consumed head-of-line, so the chunk
 ledger (`RequestQueueState`) keeps only the outstanding run head ..
 requested_chunks - 1: a chunk completes once the consumed bits reach its
 cumulative end, and leaves as a count (head) and a running quality sum, so
@@ -88,33 +93,39 @@ def utility(alpha: float, x: float) -> float:
     return x ** (1.0 - alpha) / (1.0 - alpha)
 
 
-def select_mode(q: float, theta: float, profile: QualityRateProfile, i: int) -> int:
-    """Mode minimizing q * size - theta * quality over chunk i's ladder; ties to the lowest mode."""
-    best_mode = 1
-    best_score = math.inf
-    for m, (size, quality) in enumerate(zip(profile.size_bits[i], profile.quality[i]), start=1):
-        score = q * size - theta * quality
-        if score < best_score:
-            best_score = score
-            best_mode = m
-    return best_mode
+def select_mode(q: np.ndarray, theta: np.ndarray, profile: QualityRateProfile, chunks: np.ndarray) -> np.ndarray:
+    """Each user's mode (1-based) minimizing q * size - theta * quality over its chunk's ladder.
+
+    User u scores catalog chunk chunks[u] at backlog q[u] and virtual queue
+    theta[u]. Ties go to the lowest mode (argmin's first minimum). Padded
+    cells score +inf, set after the arithmetic, so none is ever chosen and no
+    0 * inf is formed.
+    """
+    sizes, quality, padding = profile.ladders
+    scores = q[:, None] * sizes.take(chunks, axis=0) - theta[:, None] * quality.take(chunks, axis=0)
+    np.putmask(scores, padding.take(chunks, axis=0), np.inf)
+    return scores.argmin(axis=1) + 1
 
 
 def request_chunk(
-    qs: RequestQueueState, q: float, theta: float, profile: QualityRateProfile, i: int
-) -> tuple[int, int, float]:
-    """Request catalog chunk i as the session's next chunk, chosen at backlog q and virtual queue theta.
+    ledgers: Sequence[RequestQueueState], q: np.ndarray, theta: np.ndarray, profile: QualityRateProfile,
+    chunks: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Request catalog chunk chunks[u] as user u's next chunk, chosen at q[u] and theta[u], for every user.
 
-    Returns (mode, bits, quality), the rung appended to the ledger. The chunk
-    joins the ledger at once, and the caller adds its bits to the backlog;
-    delivery happens over later drains.
+    Returns the (modes, bits, qualities) arrays, the rungs appended to the
+    ledgers. Each chunk joins its ledger at once, and the caller adds the
+    bits to the backlogs; delivery happens over later drains.
     """
-    m = select_mode(q, theta, profile, i)
-    bits, quality = profile.size_bits[i][m - 1], profile.quality[i][m - 1]
-    qs.requested_bits += bits
-    qs.requested_chunks += 1
-    qs.chunks.append((qs.requested_bits, quality))
-    return m, bits, quality
+    modes = select_mode(q, theta, profile, chunks)
+    sizes, quality, _ = profile.ladders
+    cells = chunks * sizes.shape[1] + modes - 1  # each user's (chunk, mode) cell, row-major
+    bits, qualities = sizes.take(cells), quality.take(cells)
+    for qs, b, d in zip(ledgers, bits.tolist(), qualities.tolist()):
+        qs.requested_bits += b
+        qs.requested_chunks += 1
+        qs.chunks.append((qs.requested_bits, d))
+    return modes, bits, qualities
 
 
 def drain_bits(qs: RequestQueueState, delivered_bits: int) -> list[int]:
@@ -149,25 +160,39 @@ def drain_backlog(q: np.ndarray, users: Sequence[int], delivered_bits: Sequence[
         q[u] = qu - b if b < qu else 0.0
 
 
-def optimize_gamma(theta: float, cfg: UtilityConfig, d_min: float, d_max: float) -> float:
-    """Maximize v * utility(gamma) - theta * gamma over [d_min, d_max].
+def optimize_gamma(theta: np.ndarray, cfg: UtilityConfig, d_min: float, d_max: float) -> np.ndarray:
+    """Each user's gamma maximizing v * utility(gamma) - theta[u] * gamma over [d_min, d_max].
 
     The objective is concave, so for every alpha > 0 the maximizer is the
-    stationary point (v / theta) ** (1 / alpha) clamped to the range; linear
-    utility (alpha=0) takes an endpoint. theta >= 0 and 0 < d_min < d_max
-    hold: update_virtual_queue and VideoSpec ensure them.
+    stationary point (v / theta) ** (1 / alpha) clamped to the range, and
+    d_max where theta is 0; linear utility (alpha=0) takes an endpoint.
+    theta >= 0 and 0 < d_min < d_max hold: update_virtual_queue and VideoSpec
+    ensure them. The engine passes one range; arrays of per-user bounds
+    broadcast against theta. At alpha = 1 the stationary point is one vector
+    division, v / 0 = inf included. Any other exponent is Python's `**` per
+    user: numpy's `power` differs from it in the last bit on some values, and
+    which values depends on the CPU's SIMD level.
     """
-    if theta == 0.0:
-        return d_max
-    if cfg.alpha == 0.0:
-        return d_max if cfg.v > theta else d_min
+    alpha, v = cfg.alpha, cfg.v
+    if alpha == 0.0:
+        return np.where(v > theta, d_max, d_min)
+    if alpha == 1.0:
+        with np.errstate(divide="ignore", over="ignore"):
+            stationary = v / theta
+    else:
+        exponent = 1.0 / alpha
+        stationary = np.array([math.inf if th == 0.0 else _power(v / th, exponent) for th in theta.tolist()])
+    return np.minimum(np.maximum(stationary, d_min), d_max)
+
+
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent; a result beyond the float range is inf, which the clamp takes to d_max."""
     try:
-        stationary = (cfg.v / theta) ** (1.0 / cfg.alpha)
-    except OverflowError:  # a stationary point beyond the float range lies above d_max
-        return d_max
-    return min(max(stationary, d_min), d_max)
+        return base ** exponent
+    except OverflowError:
+        return math.inf
 
 
-def update_virtual_queue(theta: float, gamma: float, requested_quality: float) -> float:
-    """The next theta: theta plus gamma minus the quality requested this slot, floored at zero."""
-    return max(theta + gamma - requested_quality, 0.0)
+def update_virtual_queue(theta: np.ndarray, gamma: np.ndarray, requested_quality: np.ndarray) -> np.ndarray:
+    """The next thetas: theta plus gamma minus the quality requested this slot, floored at zero."""
+    return np.maximum(theta + gamma - requested_quality, 0.0)

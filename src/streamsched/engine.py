@@ -136,10 +136,11 @@ class RunState:
     user id; each method is one phase of the slot loop `run`.
 
     The backlogs Q and virtual queues theta are the (N,) float vectors q and
-    theta, the only copy of that state: sampling, the max-weight weights and
-    the drained test are one numpy call each. queues holds each user's chunk
-    ledger, and players its playback state. requests holds each user's
-    (gamma, mode, bits) record of the last chunk slot, which the client trace
+    theta, the only copy of that state: sampling, the max-weight weights, a
+    chunk slot's requests and the drained test are vector passes. queues
+    holds each user's chunk ledger, and players its playback state; the
+    drain and playback phases still walk them per user. requests holds the
+    last chunk slot's (gamma, modes, bits) arrays, which the client trace
     reads.
     """
 
@@ -160,14 +161,14 @@ class RunState:
         if session_max >= 2**53:
             raise ConfigError(f"video.segments: a session of {cfg.session_chunks} chunks could request up to "
                               f"{session_max} bits; backlogs count bits exactly only below 2**53")
-        self.starts = np.random.default_rng(seed_starts).integers(0, self.profile.num_chunks, size=n_users).tolist()
+        self.starts = np.random.default_rng(seed_starts).integers(0, self.profile.num_chunks, size=n_users)
         self.q = np.zeros(n_users)
         self.theta = np.zeros(n_users)
         self.queues = [cl.RequestQueueState() for _ in range(n_users)]
         p = cfg.playback
         self.players = [pb.PlaybackState(total_chunks=cfg.session_chunks, window_size=p.window_slots, rho=p.rho)
                         for _ in range(n_users)]
-        self.requests: list[tuple[float, int, int]] = []
+        self.requests: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self.mobility = (None if cfg.topology.mobility == "static"
                          else topo.WaypointMobility(cfg.topology.waypoint_speed, seed=cfg.seed))
         gains = topo.topology_state(graph, 0, self.mobility)
@@ -199,18 +200,14 @@ class RunState:
 
     def request(self, k: int) -> None:
         """Chunk slot k: every user picks the rung of its k-th chunk, enqueues it, advances theta and records it."""
-        utility, video = self.cfg.utility, self.cfg.video
-        profile, starts = self.profile, self.starts
-        q, theta = self.q.tolist(), self.theta.tolist()
-        self.requests = requests = []
-        for u, qs in enumerate(self.queues):
-            gamma = cl.optimize_gamma(theta[u], utility, video.d_min, video.d_max)
-            m, bits, quality = cl.request_chunk(qs, q[u], theta[u], profile, (starts[u] + k) % profile.num_chunks)
-            q[u] += bits
-            theta[u] = cl.update_virtual_queue(theta[u], gamma, quality)
-            requests.append((gamma, m, bits))
-        self.q[:] = q
-        self.theta[:] = theta
+        video = self.cfg.video
+        chunks = (self.starts + k) % self.profile.num_chunks
+        gamma = cl.optimize_gamma(self.theta, self.cfg.utility, video.d_min, video.d_max)
+        modes, bits, quality = cl.request_chunk(self.queues, self.q, self.theta, self.profile, chunks)
+        # Backlogs and bits are integers below 2**53, so the float sum is exact.
+        self.q += bits
+        self.theta = cl.update_virtual_queue(self.theta, gamma, quality)
+        self.requests = gamma, modes, bits
 
     def refresh_topology(self, t: int) -> None:
         """Under mobility, slot t's gains and every helper's rate table; edges and association stay slot 0's."""
@@ -252,8 +249,8 @@ class RunState:
         for u, b in delivered.items():
             column[u] = b
         self.traces["client"].extend(
-            (t, u, q, theta, gamma, m, bits, b) for u, (q, theta, (gamma, m, bits), b)
-            in enumerate(zip(self.q.tolist(), self.theta.tolist(), self.requests, column)))
+            (t, u, *row) for u, row in enumerate(zip(self.q.tolist(), self.theta.tolist(),
+                                                     *(a.tolist() for a in self.requests), column)))
 
     def check(self, t: int, served: list[sched.Service], delivered: dict[int, int]) -> None:
         """Raise unless slot t's bits match the receiver model and every queue and player is consistent."""

@@ -94,29 +94,34 @@ def greedy_vs_exhaustive(instances: int = 10_000, seed: int = 7) -> SuiteResult:
 
 
 def gamma_closed_form(cases: int = 1000, seed: int = 11) -> SuiteResult:
-    """optimize_gamma vs the clamp per alpha: exact for alpha=1; 1e-6 for alpha=2, where sqrt and ** 0.5 may differ."""
+    """optimize_gamma vs the clamp per alpha: exact for alpha=1; 1e-6 for alpha=2, where sqrt and ** 0.5 may differ.
+
+    Each alpha's cases are the users of one optimize_gamma call at one v, each
+    with its own theta and range; the result is checked element by element.
+    """
     rng = np.random.default_rng(seed)
     passed = 0
     failure = None
-    for case in range(cases):
-        d_min = float(rng.uniform(0.05, 0.6))
-        d_max = float(rng.uniform(d_min + 0.05, 1.5))
+    for alpha, case_ids in ((1.0, range(0, cases, 2)), (2.0, range(1, cases, 2))):
+        n = len(case_ids)
         v = float(10.0 ** rng.uniform(-2, 6))
-        theta = 0.0 if rng.uniform() < 0.1 else float(10.0 ** rng.uniform(-2, 8))
-        alpha = 1.0 if case % 2 == 0 else 2.0
-        got = cl.optimize_gamma(theta, cl.UtilityConfig(alpha=alpha, v=v), d_min, d_max)
-        if theta == 0.0:
-            expected = d_max
-        elif alpha == 1.0:
-            expected = min(max(v / theta, d_min), d_max)
-        else:
-            expected = min(max(math.sqrt(v / theta), d_min), d_max)
-        tol = 0.0 if (alpha == 1.0 or theta == 0.0) else GAMMA_CLAMP_TOL
-        if abs(got - expected) <= tol:
-            passed += 1
-        elif failure is None:
-            failure = {"case": case, "alpha": alpha, "v": v, "theta": theta,
-                       "d_min": d_min, "d_max": d_max, "got": got, "expected": expected}
+        d_min = rng.uniform(0.05, 0.6, size=n)
+        d_max = rng.uniform(d_min + 0.05, 1.5)
+        thetas = np.where(rng.uniform(size=n) < 0.1, 0.0, 10.0 ** rng.uniform(-2, 8, size=n))
+        got = cl.optimize_gamma(thetas, cl.UtilityConfig(alpha=alpha, v=v), d_min, d_max).tolist()
+        for case, theta, d_min, d_max, g in zip(case_ids, thetas.tolist(), d_min.tolist(), d_max.tolist(), got):
+            if theta == 0.0:
+                expected = d_max
+            elif alpha == 1.0:
+                expected = min(max(v / theta, d_min), d_max)
+            else:
+                expected = min(max(math.sqrt(v / theta), d_min), d_max)
+            tol = 0.0 if (alpha == 1.0 or theta == 0.0) else GAMMA_CLAMP_TOL
+            if abs(g - expected) <= tol:
+                passed += 1
+            elif failure is None:
+                failure = {"case": case, "alpha": alpha, "v": v, "theta": theta,
+                           "d_min": d_min, "d_max": d_max, "got": g, "expected": expected}
     return SuiteResult("gamma_closed_form", passed, cases, failure)
 
 
@@ -139,7 +144,7 @@ def ledger_fuzz(cases: int = 200, seed: int = 13) -> SuiteResult:
         session_length = int(rng.integers(1, 40))
         qs = cl.RequestQueueState()
         q = np.zeros(1)
-        theta = float(rng.uniform(0, 1e6))
+        theta = np.array([rng.uniform(0, 1e6)])
         user = np.array([0])
         n = 4
         completed_order: list[int] = []
@@ -147,8 +152,8 @@ def ledger_fuzz(cases: int = 200, seed: int = 13) -> SuiteResult:
         t = k = 0
         while k < session_length or qs.chunks:
             if t % n == 0 and k < session_length:
-                _, bits, _ = cl.request_chunk(qs, float(q[0]), theta, profile, (start + k) % profile.num_chunks)
-                q[0] += bits
+                _, bits, _ = cl.request_chunk([qs], q, theta, profile, np.array([(start + k) % profile.num_chunks]))
+                q += bits
                 k += 1
             if rng.uniform() < 0.8:
                 delivered = int(rng.integers(0, 60000))

@@ -5,8 +5,10 @@ A catalog stores, for every chunk of a file, the ladder of encoding modes
 Profiles are immutable, and `synth_catalog` makes them valid by construction;
 nothing checks a ladder again. The generator builds each segment as arrays
 but keeps the bits of the per-rung Python formulas: numpy's `rint` rounds
-half to even as `round` does, and every log is `math.log`. Readers index the
-rows directly: chunk i at mode m is quality[i][m-1] and size_bits[i][m-1]. A
+half to even as `round` does, and every log is `math.log`. Chunk i at mode m
+is quality[i][m-1] and size_bits[i][m-1]. The request side reads the rows as
+`QualityRateProfile.ladders`, (chunks x widest ladder) arrays built once from
+the rows, so it serves a whole population's requests in one numpy pass. A
 session has no object of its own; the engine maps its k-th chunk to catalog
 index (start + k) % num_chunks.
 """
@@ -14,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +53,24 @@ class QualityRateProfile:
     @property
     def num_chunks(self) -> int:
         return len(self.quality)
+
+    @cached_property
+    def ladders(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows as (chunks, widest ladder) arrays: int64 sizes, float qualities and the padding mask.
+
+        Built from the rows on first use and cached, so each cell is its row's
+        value exactly (sizes are ints below 2**53). A chunk with fewer modes
+        than the widest is padded with 0 in both arrays and True in the mask;
+        a reader must never choose a padded cell.
+        """
+        counts = np.array([len(row) for row in self.size_bits])
+        padding = np.arange(counts.max()) >= counts[:, None]
+        sizes = np.zeros(padding.shape, dtype=np.int64)
+        quality = np.zeros(padding.shape)
+        # A boolean mask assigns in row-major order, which is the order of the chained rows.
+        sizes[~padding] = list(chain.from_iterable(self.size_bits))
+        quality[~padding] = list(chain.from_iterable(self.quality))
+        return sizes, quality, padding
 
 
 def synth_catalog(

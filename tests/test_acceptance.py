@@ -39,16 +39,19 @@ def test_criterion_1_greedy_matches_exhaustive_exactly():
 def test_criterion_2_mode_selection_matches_scan_and_gamma_matches_clamp():
     rng = np.random.default_rng(23)
     catalog = synth_catalog([(25, 8, 2500.0), (25, 4, 700.0)], seed=4)
-    for case in range(1000):
-        q = float(10.0 ** rng.uniform(0, 7)) * (rng.uniform() > 0.1)
-        theta = float(10.0 ** rng.uniform(0, 7)) * (rng.uniform() > 0.1)
-        i = int(rng.integers(0, catalog.num_chunks))
+    # 1000 users of one select_mode call, each drawn as the per-case scan draws it.
+    cases = [(float(10.0 ** rng.uniform(0, 7)) * (rng.uniform() > 0.1),
+              float(10.0 ** rng.uniform(0, 7)) * (rng.uniform() > 0.1),
+              int(rng.integers(0, catalog.num_chunks))) for _ in range(1000)]
+    q, theta, chunks = (np.array(column) for column in zip(*cases))
+    modes = select_mode(q, theta, catalog, chunks).tolist()
+    for case, (q, theta, i) in enumerate(cases):
         scores = {
             m: q * catalog.size_bits[i][m - 1] - theta * catalog.quality[i][m - 1]
             for m in range(1, len(catalog.quality[i]) + 1)
         }
         expected = min(scores, key=lambda m: (scores[m], m))
-        assert select_mode(q, theta, catalog, i) == expected, f"case {case}"
+        assert modes[case] == expected, f"case {case}"
 
     for alpha in (1.0, 2.0):
         for case in range(1000):
@@ -62,7 +65,7 @@ def test_criterion_2_mode_selection_matches_scan_and_gamma_matches_clamp():
                 expected = min(max(v / theta, d_min), d_max)
             else:
                 expected = min(max(math.sqrt(v / theta), d_min), d_max)
-            got = optimize_gamma(theta, UtilityConfig(alpha=alpha, v=v), d_min, d_max)
+            got = optimize_gamma(np.array([theta]), UtilityConfig(alpha=alpha, v=v), d_min, d_max).tolist()[0]
             assert abs(got - expected) <= 1e-6, f"case {case}: alpha={alpha} got={got} want={expected}"
     report(2, "1000/1000 mode selections match the scan; 2x 1000/1000 gamma values within 1e-6 of the clamps")
 
