@@ -105,11 +105,11 @@ def gamma_closed_form(cases: int = 1000, seed: int = 11) -> SuiteResult:
     for alpha, case_ids in ((1.0, range(0, cases, 2)), (2.0, range(1, cases, 2))):
         n = len(case_ids)
         v = float(10.0 ** rng.uniform(-2, 6))
-        d_min = rng.uniform(0.05, 0.6, size=n)
-        d_max = rng.uniform(d_min + 0.05, 1.5)
+        lows = rng.uniform(0.05, 0.6, size=n)
+        highs = rng.uniform(lows + 0.05, 1.5)
         thetas = np.where(rng.uniform(size=n) < 0.1, 0.0, 10.0 ** rng.uniform(-2, 8, size=n))
-        got = cl.optimize_gamma(thetas, cl.UtilityConfig(alpha=alpha, v=v), d_min, d_max).tolist()
-        for case, theta, d_min, d_max, g in zip(case_ids, thetas.tolist(), d_min.tolist(), d_max.tolist(), got):
+        got = cl.optimize_gamma(thetas, cl.UtilityConfig(alpha=alpha, v=v), lows, highs).tolist()
+        for case, theta, d_min, d_max, g in zip(case_ids, thetas.tolist(), lows.tolist(), highs.tolist(), got):
             if theta == 0.0:
                 expected = d_max
             elif alpha == 1.0:

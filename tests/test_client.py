@@ -114,7 +114,8 @@ def test_request_chunk_single_mode_forced():
 
 
 def test_ladders_are_the_rows_padded():
-    p = QualityRateProfile(quality=((0.4,), (0.35, 0.6, 0.9), (0.5, 0.8)), size_bits=((100,), (120, 300, 700), (9, 2**53 - 1)))
+    p = QualityRateProfile(quality=((0.4,), (0.35, 0.6, 0.9), (0.5, 0.8)),
+                           size_bits=((100,), (120, 300, 700), (9, 2**53 - 1)))
     sizes, quality, padding = p.ladders
     assert sizes.dtype == np.int64 and quality.dtype == np.float64
     assert padding.tolist() == [[False, True, True], [False, False, False], [False, False, True]]
